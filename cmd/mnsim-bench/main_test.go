@@ -47,6 +47,9 @@ func TestJSONSubcommand(t *testing.T) {
 	if b == nil || b.NsStat == nil || b.NsStat.Min != 95e6 {
 		t.Fatalf("json output lost stats: %+v", b)
 	}
+	if doc.GoOS == "" || doc.GoArch == "" {
+		t.Fatalf("json output lost the environment header: %+v", doc)
+	}
 }
 
 func TestGateSubcommandPassAndFail(t *testing.T) {
@@ -118,6 +121,9 @@ func TestBadInvocations(t *testing.T) {
 	}
 	if err := run([]string{"bogus"}, nil, nil); err == nil {
 		t.Error("unknown subcommand accepted")
+	}
+	if err := run([]string{"json"}, strings.NewReader("PASS\nok  pkg 0.1s\n"), nil); err == nil {
+		t.Error("json input without benchmark lines accepted")
 	}
 	if err := run([]string{"gate"}, strings.NewReader(""), nil); err == nil {
 		t.Error("gate without -baseline accepted")

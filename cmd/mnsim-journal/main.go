@@ -140,39 +140,13 @@ func summarize(w io.Writer, path string) error {
 	}
 
 	// Per-span-path wall-time aggregates, rebuilt from the journaled span
-	// events — the post-hoc equivalent of the live /trace endpoint.
-	type agg struct {
-		count               int
-		total, minUS, maxUS float64
-	}
-	spans := map[string]*agg{}
-	for _, r := range telemetry.SpanRecordsFromEvents(events) {
-		us := float64(r.DurNS) / 1e3
-		a := spans[r.Path]
-		if a == nil {
-			a = &agg{minUS: us, maxUS: us}
-			spans[r.Path] = a
-		}
-		a.count++
-		a.total += us
-		if us < a.minUS {
-			a.minUS = us
-		}
-		if us > a.maxUS {
-			a.maxUS = us
-		}
-	}
-	if len(spans) > 0 {
-		paths := make([]string, 0, len(spans))
-		for p := range spans {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
+	// events with the tracer's own fold — the post-hoc equivalent of the
+	// live /trace endpoint and of the run manifest's phases.
+	if spans := telemetry.SpanStats(telemetry.SpanRecordsFromEvents(events)); len(spans) > 0 {
 		st := &report.Table{Title: "Span phases", Headers: []string{"Path", "Count", "Total (ms)", "Avg (us)", "Max (us)"}}
-		for _, p := range paths {
-			a := spans[p]
-			st.AddRow(p, a.count, fmt.Sprintf("%.2f", a.total/1e3),
-				fmt.Sprintf("%.1f", a.total/float64(a.count)), fmt.Sprintf("%.1f", a.maxUS))
+		for _, a := range spans {
+			st.AddRow(a.Name, a.Count, fmt.Sprintf("%.2f", a.TotalUS/1e3),
+				fmt.Sprintf("%.1f", a.AvgUS), fmt.Sprintf("%.1f", a.MaxUS))
 		}
 		fmt.Fprintln(w)
 		if err := st.Render(w); err != nil {

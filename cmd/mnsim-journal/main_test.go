@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,11 +26,10 @@ func writeTracedJournal(t *testing.T) (path, candidate string) {
 		t.Fatal(err)
 	}
 	telemetry.SetTraceSeed(7)
-	telemetry.EnableTraceEvents(1 << 10)
 	t.Cleanup(func() {
 		j.Close()
 		j.Reset()
-		telemetry.DefaultTracer().ResetTraceEvents()
+		telemetry.DefaultTracer().Reset()
 	})
 
 	candidate = "cand-4x4@45"
@@ -272,5 +273,66 @@ func TestUsage(t *testing.T) {
 	}
 	if err := run(&sb, []string{"bogus"}); err == nil || !strings.Contains(err.Error(), "usage:") {
 		t.Fatalf("unknown subcommand should print usage, got %v", err)
+	}
+}
+
+// One journaled run, two derived views: the per-path span counts that
+// summarize rebuilds from the journal equal the phases of the run manifest
+// the same run wrote, so the journal alone answers "where did the time go".
+func TestSummarizeSpanCountsMatchManifest(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.jsonl")
+	manifest := filepath.Join(dir, "run.json")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := telemetry.AddFlags(fs)
+	if err := fs.Parse([]string{"-journal", journal, "-run-out", manifest}); err != nil {
+		t.Fatal(err)
+	}
+	telemetry.DefaultTracer().Reset()
+	t.Cleanup(func() {
+		telemetry.DefaultJournal().Reset()
+		telemetry.DefaultTracer().Reset()
+	})
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c := &circuit.Crossbar{M: 4, N: 4, R: make([][]float64, 4), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}
+	for i := range c.R {
+		c.R[i] = []float64{150e3, 120e3, 90e3, 60e3}
+	}
+	ctx, root := telemetry.StartSpan(context.Background(), "run")
+	for k := 0; k < 3; k++ {
+		cctx, cs := telemetry.StartSpanKeyed(ctx, "candidate", fmt.Sprintf("cand-%d", k))
+		if _, err := c.SolveContext(cctx, []float64{0.3, 0.2, 0.1, 0.1 * float64(k)}, circuit.SolveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		cs.End()
+	}
+	root.End()
+	if err := f.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := telemetry.LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summarized := map[string]string{}
+	for _, line := range strings.Split(runCmd(t, "summarize", journal), "\n") {
+		if fields := strings.Fields(line); len(fields) == 5 && strings.HasPrefix(fields[0], "run") {
+			summarized[fields[0]] = fields[1]
+		}
+	}
+	if len(m.Phases) == 0 || len(summarized) != len(m.Phases) {
+		t.Fatalf("summarize lists %d span paths, manifest %d phases: %v vs %+v",
+			len(summarized), len(m.Phases), summarized, m.Phases)
+	}
+	for _, p := range m.Phases {
+		if got := summarized[p.Name]; got != fmt.Sprint(p.Count) {
+			t.Errorf("%s: summarize count %q, manifest count %d", p.Name, got, p.Count)
+		}
+	}
+	if summarized["run/candidate/circuit.solve/newton"] != "3" {
+		t.Errorf("per-phase solve spans missing from the journal: %v", summarized)
 	}
 }

@@ -103,118 +103,32 @@ func BenchmarkSolveWarm(b *testing.B) {
 	b.ReportMetric(float64(refreshes)/float64(b.N), "precond-refreshes/op")
 }
 
-// BenchmarkSolveAccounting isolates the cost-accounting overhead at the
-// largest BenchmarkSolve size: the on/off pair bounds what the always-on
-// attribution costs (the acceptance budget is 5% on ns/op — in practice
-// nil-receiver count methods on int64 fields disappear into the CG
-// memory traffic).
-func BenchmarkSolveAccounting(b *testing.B) {
+// BenchmarkSolveTelemetry bounds what the optional telemetry costs a solve
+// at 64x64: "on" records the flight-recorder journal ring (solve, Newton
+// and span events, plus the per-phase sub-spans it turns on) and runs the
+// runtime/metrics resource sampler at its default 1s cadence; "off" is the
+// plain solve, which pays one atomic load per span for the journal check.
+// Cost accounting is always on, so both sides carry it. The acceptance
+// budget is 5% on ns/op. Bit-identity with telemetry on is asserted
+// separately in TestTracingNumericallyNeutral and
+// TestResourceSamplingNumericallyNeutral.
+func BenchmarkSolveTelemetry(b *testing.B) {
 	const size = 64
 	for _, bc := range []struct {
 		name string
-		opt  SolveOptions
-	}{
-		{"on", SolveOptions{}},
-		{"off", SolveOptions{NoCostAccounting: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
-			var cg int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Solve(vin, bc.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg += int64(res.CGIters)
-			}
-			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
-		})
-	}
-}
-
-// BenchmarkSolveTraced isolates the causal-tracing overhead, mirroring the
-// BenchmarkSolveAccounting on/off pair: "on" retains span records in the
-// trace ring (plus the gated per-phase sub-spans), "off" is the plain
-// solve. The acceptance budget is 5% on ns/op; the off side must stay in
-// the noise because the only added cost there is one atomic load per
-// solve. Results are bit-identity-asserted separately in
-// TestTracingNumericallyNeutral.
-func BenchmarkSolveTraced(b *testing.B) {
-	const size = 64
-	for _, bc := range []struct {
-		name   string
-		traced bool
+		on   bool
 	}{
 		{"on", true},
 		{"off", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if bc.traced {
-				telemetry.SetTraceSeed(1)
-				telemetry.EnableTraceEvents(1 << 12)
-				b.Cleanup(func() { telemetry.DefaultTracer().ResetTraceEvents() })
-			}
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
-			var cg int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Solve(vin, SolveOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg += int64(res.CGIters)
-			}
-			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
-		})
-	}
-}
-
-// BenchmarkSolveSampled isolates the resource-sampler overhead, mirroring
-// the BenchmarkSolveAccounting / BenchmarkSolveTraced on/off pairs: "on"
-// runs the runtime/metrics sampler concurrently at its default 1s cadence,
-// "off" is the plain solve. The sampler never touches solver state — the
-// acceptance budget is 5% on ns/op, and in practice the on side is pure
-// scheduler noise because a 1s tick amortizes to nothing per solve.
-// Bit-identity is asserted separately in
-// TestResourceSamplingNumericallyNeutral.
-func BenchmarkSolveSampled(b *testing.B) {
-	const size = 64
-	for _, bc := range []struct {
-		name    string
-		sampled bool
-	}{
-		{"on", true},
-		{"off", false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			if bc.sampled {
+			if bc.on {
+				j := telemetry.DefaultJournal()
+				j.EnableRing()
+				b.Cleanup(func() {
+					j.Close()
+					j.Reset()
+				})
 				// The benchmark body re-runs during iteration-count
 				// calibration; the sampler from the previous invocation is
 				// still up then, so an already-running error is expected and

@@ -211,7 +211,7 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostM
 		}
 		// 100 bisection steps, each evaluating M device currents plus the
 		// sense-resistor term.
-		cost.cgLoop().CountFlops(100 * (int64(c.M)*(deviceEvalFlops+2) + 3))
+		cost.CGLoop.CountFlops(100 * (int64(c.M)*(deviceEvalFlops+2) + 3))
 		v := (lo + hi) / 2
 		res.VOut[n] = v
 		for m := 0; m < c.M; m++ {
@@ -225,7 +225,7 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostM
 		}
 		res.Power += vin[m] * rowI
 	}
-	cost.cgLoop().CountFlops(int64(c.M) * int64(c.N) * (deviceEvalFlops + 3))
+	cost.CGLoop.CountFlops(int64(c.M) * int64(c.N) * (deviceEvalFlops + 3))
 	return res, nil
 }
 
@@ -456,11 +456,6 @@ type SolveOptions struct {
 	// runs on divergence. The convergence trajectory itself is recorded
 	// regardless — this only gates the extra eigenvalue work.
 	Diagnostics bool `json:"diagnostics,omitempty"`
-	// NoCostAccounting disables the per-phase operation cost model
-	// (Diagnostics.Cost). Accounting is on by default: it is pure integer
-	// counting, costs a few percent at most, and is observational only —
-	// solve outputs are bit-identical either way (asserted in tests).
-	NoCostAccounting bool `json:"no_cost_accounting,omitempty"`
 }
 
 // ErrNewtonDiverged is the sentinel a failed Newton solve matches with
@@ -569,12 +564,9 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("circuit: solve aborted: %w", err)
 	}
-	// Cost accounting is on unless opted out: a nil model threads nil
-	// accumulators through every kernel, which is the off switch.
-	var cost *CostModel
-	if !opt.NoCostAccounting {
-		cost = &CostModel{}
-	}
+	// Cost accounting is always on: pure integer counting into the
+	// per-phase model (Diagnostics.Cost), observational only.
+	cost := &CostModel{}
 	// Flight recorder: the correlation id ties this solve's journal events
 	// together (the matching solve_end is emitted by the deferred block
 	// above, after the span closes).
@@ -603,11 +595,11 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		res = hit
 		return res, nil
 	}
-	// Per-phase sub-spans (assemble / setup / newton) are gated on trace
-	// events being on: they exist purely for the causal timeline, and the
+	// Per-phase sub-spans (assemble / setup / newton) are gated on the
+	// journal recording: they exist purely for the causal timeline, and the
 	// gate keeps a plain run's span count (and cost) unchanged. A nil span
 	// is safe to End.
-	traced := telemetry.TraceEventsOn()
+	traced := telemetry.JournalOn()
 	var phaseSpan *telemetry.Span
 	startPhase := func(name string) {
 		if traced {
@@ -621,13 +613,13 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		// the CSR via UpdateValues, whose per-slot summation order matches
 		// NewCSR's, so the matrix is bit-identical to a fresh assembly.
 		a = st.asm
-		c.stampValues(a, vin, cost.assembly())
+		c.stampValues(a, vin, &cost.Assembly)
 		if err := a.mat.UpdateValues(a.trips); err != nil {
 			return nil, err
 		}
-		cost.assembly().CountBytes(16*int64(len(a.trips)) + 8*int64(len(a.mat.Vals)))
+		cost.Assembly.CountBytes(16*int64(len(a.trips)) + 8*int64(len(a.mat.Vals)))
 	} else {
-		a, err = c.assemble(vin, cost.assembly())
+		a, err = c.assemble(vin, &cost.Assembly)
 		if err != nil {
 			return nil, err
 		}
@@ -650,11 +642,11 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	if opt.Precond == PrecondBlockJacobi {
 		if st != nil && st.pre != nil {
 			bj = st.pre
-			if err := bj.Refresh(a.mat, cost.precond()); err != nil {
+			if err := bj.Refresh(a.mat, &cost.Precond); err != nil {
 				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
 			}
 		} else {
-			bj, err = linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, cost.precond())
+			bj, err = linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, &cost.Precond)
 			if err != nil {
 				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
 			}
@@ -674,7 +666,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		// Warm start: resume Newton from the previous operating point; the
 		// setup linear solve is skipped entirely.
 		v = st.warmCopy()
-		cost.assembly().CountBytes(16 * int64(n2))
+		cost.Assembly.CountBytes(16 * int64(n2))
 		diag.WarmStart = true
 		telWarmSolves.Inc()
 	} else {
@@ -687,7 +679,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		}
 		// Initial linear solve at calibrated resistances.
 		var it int
-		v, it, err = linalg.SolveCG(a.mat, a.rhsBase, x0, linalg.CGOptions{Tol: opt.CGTol, Ops: cost.cgLoop(), Precond: pre, Work: st.cgWork()})
+		v, it, err = linalg.SolveCG(a.mat, a.rhsBase, x0, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: st.cgWork()})
 		if err != nil {
 			return nil, fmt.Errorf("circuit: linear solve: %w", err)
 		}
@@ -705,15 +697,15 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 			}
-			rhs := c.restamp(a, v, cost.newtonUpdate())
+			rhs := c.restamp(a, v, &cost.NewtonUpdate)
 			if err := a.mat.UpdateValues(a.trips); err != nil {
 				return nil, err
 			}
-			cost.newtonUpdate().CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
+			cost.NewtonUpdate.CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
 			if bj != nil && needRefresh {
 				// The frozen factorization fell behind the Newton stamps;
 				// refactor against the current matrix and re-baseline.
-				if err := bj.Refresh(a.mat, cost.precond()); err != nil {
+				if err := bj.Refresh(a.mat, &cost.Precond); err != nil {
 					return nil, fmt.Errorf("circuit: preconditioner refresh: %w", err)
 				}
 				diag.PrecondRefreshes++
@@ -721,7 +713,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 				baseline = -1
 				needRefresh = false
 			}
-			vNew, it, err := linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: opt.CGTol, Ops: cost.cgLoop(), Precond: pre, Work: st.cgWork()})
+			vNew, it, err := linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: st.cgWork()})
 			if err != nil {
 				return nil, fmt.Errorf("circuit: Newton linear solve: %w", err)
 			}
@@ -744,7 +736,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 					delta = d
 				}
 			}
-			cost.newtonUpdate().CountVecOp(len(v), 2) // ΔV convergence scan
+			cost.NewtonUpdate.CountVecOp(len(v), 2) // ΔV convergence scan
 			v = vNew
 			diag.Residuals = append(diag.Residuals, delta)
 			diag.CGIters = append(diag.CGIters, it)
@@ -758,7 +750,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			}
 			if iter == opt.MaxNewton-1 {
 				telDiverged.Inc()
-				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, cost.diagnostics()))
+				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
 				diag.analyze()
 				derr := &DivergenceError{Iters: opt.MaxNewton, FinalResidual: delta, Diag: diag}
 				telemetry.Log().Warn("newton iteration diverged",
@@ -780,7 +772,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	// deferred End covers the error returns above).
 	phaseSpan.End()
 	if opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, cost.diagnostics()))
+		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
 	}
 	diag.analyze()
 	res.Diag = diag

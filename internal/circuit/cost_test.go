@@ -25,41 +25,6 @@ func costCrossbar(m, n int) (*Crossbar, []float64) {
 	return &Crossbar{M: m, N: n, R: r, WireR: 2.5, RSense: 1e3, Dev: dev}, vin
 }
 
-// TestCostAccountingBitIdentical is the neutrality contract: a solve with
-// accounting enabled must produce bit-identical outputs to one with
-// accounting disabled.
-func TestCostAccountingBitIdentical(t *testing.T) {
-	c, vin := costCrossbar(8, 8)
-	on, err := c.Solve(vin, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := c.Solve(vin, SolveOptions{NoCostAccounting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.NewtonIters != off.NewtonIters || on.CGIters != off.CGIters {
-		t.Fatalf("iteration counts differ: %d/%d vs %d/%d",
-			on.NewtonIters, on.CGIters, off.NewtonIters, off.CGIters)
-	}
-	for i := range on.NodeV {
-		//lint:ignore nofloateq accounting neutrality is an exact-equality contract by design
-		if on.NodeV[i] != off.NodeV[i] {
-			t.Fatalf("NodeV[%d] differs: %v vs %v", i, on.NodeV[i], off.NodeV[i])
-		}
-	}
-	//lint:ignore nofloateq accounting neutrality is an exact-equality contract by design
-	if on.Power != off.Power {
-		t.Fatalf("Power differs: %v vs %v", on.Power, off.Power)
-	}
-	if on.Diag.Cost == nil {
-		t.Fatal("accounting on: Diag.Cost missing")
-	}
-	if off.Diag.Cost != nil {
-		t.Fatal("accounting off: Diag.Cost unexpectedly present")
-	}
-}
-
 // TestCostModelPhases checks the attribution lands where the pipeline
 // spends it: assembly once, newton updates per iteration, the CG loop
 // dominating, diagnostics only when requested.

@@ -83,8 +83,8 @@ type Diagnostics struct {
 	// MNA Jacobian (linalg.EstimateCond). Computed on divergence and when
 	// SolveOptions.Diagnostics is set; zero otherwise.
 	CondEstimate float64 `json:"cond_estimate,omitempty"`
-	// Cost is the solve's per-phase operation cost model; nil when the
-	// solve ran with SolveOptions.NoCostAccounting.
+	// Cost is the solve's per-phase operation cost model; nil on a memo
+	// hit and in snapshots recorded without one.
 	Cost *CostModel `json:"cost,omitempty"`
 	// Convergence carries analytics derived from the recorded trajectory
 	// (residual decay rate, stagnation flag); nil for linear solves.
@@ -133,43 +133,6 @@ func (c *CostModel) Total() linalg.OpCount {
 	t.Add(&c.Precond)
 	t.Add(&c.Diagnostics)
 	return t
-}
-
-// Nil-safe phase accessors: a disabled cost model threads nil *OpCount
-// into the kernels, which is the zero-overhead off switch.
-func (c *CostModel) assembly() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Assembly
-}
-
-func (c *CostModel) newtonUpdate() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.NewtonUpdate
-}
-
-func (c *CostModel) cgLoop() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.CGLoop
-}
-
-func (c *CostModel) precond() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Precond
-}
-
-func (c *CostModel) diagnostics() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Diagnostics
 }
 
 // Convergence analytics derived from a solve's recorded Newton trajectory.

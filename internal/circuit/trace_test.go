@@ -8,19 +8,9 @@ import (
 	"mnsim/internal/telemetry"
 )
 
-// withTestTracing turns on span-record retention on the default tracer for
-// the test and restores the disabled state afterwards.
-func withTestTracing(t *testing.T) {
-	t.Helper()
-	telemetry.SetTraceSeed(1)
-	telemetry.EnableTraceEvents(1 << 10)
-	t.Cleanup(func() {
-		telemetry.DefaultTracer().ResetTraceEvents()
-	})
-}
-
-// Numerical neutrality: enabling causal tracing (span records + journal
-// span events) must not change a single bit of the computed solution.
+// Numerical neutrality: recording the journal (solve events, span events
+// and the per-phase spans it turns on) must not change a single bit of the
+// computed solution.
 func TestTracingNumericallyNeutral(t *testing.T) {
 	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 150e3), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}
 	vin := []float64{0.3, 0.2, 0.1, 0.3}
@@ -29,7 +19,6 @@ func TestTracingNumericallyNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 	withTestJournal(t)
-	withTestTracing(t)
 	traced, err := c.Solve(vin, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -49,13 +38,12 @@ func TestTracingNumericallyNeutral(t *testing.T) {
 	}
 }
 
-// With tracing on, a solve under a candidate-style parent span produces the
+// With the journal on, a solve under a candidate-style parent span produces the
 // full causal chain — parent → circuit.solve → assemble/setup/newton phase
 // spans — and its solve_start/newton_iter/solve_end events carry the solve
 // span's IDs plus a dur_us on solve_end.
 func TestSolveTraceChain(t *testing.T) {
 	path := withTestJournal(t)
-	withTestTracing(t)
 	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 150e3), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}
 	ctx, parent := telemetry.StartSpan(context.Background(), "candidate")
 	if _, err := c.SolveContext(ctx, []float64{0.3, 0.2, 0.1, 0.3}, SolveOptions{}); err != nil {
@@ -117,7 +105,7 @@ func TestSolveTraceChain(t *testing.T) {
 	}
 }
 
-// With tracing off, a solve opens exactly one span (no phase sub-spans) —
+// With the journal off, a solve opens exactly one span (no phase sub-spans) —
 // the off path must not grow the per-solve span count.
 func TestSolvePhaseSpansGated(t *testing.T) {
 	tr := telemetry.DefaultTracer()
@@ -128,7 +116,7 @@ func TestSolvePhaseSpansGated(t *testing.T) {
 	}
 	after, _ := tr.Stat("circuit.solve/newton")
 	if after.Count != before.Count {
-		t.Fatalf("phase span recorded with tracing off: %d -> %d", before.Count, after.Count)
+		t.Fatalf("phase span recorded with the journal off: %d -> %d", before.Count, after.Count)
 	}
 }
 

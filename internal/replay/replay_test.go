@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -231,24 +232,65 @@ func TestReplayCostRoundTrip(t *testing.T) {
 	}
 }
 
-// A snapshot recorded with accounting off (or by a pre-cost build) has no
-// cost model; replay must skip the check rather than flag a mismatch.
+// A snapshot without a cost model — recorded by a pre-cost build, or by a
+// build that could switch accounting off and recorded the switch in its
+// options — must replay: the check is skipped rather than flagged, and the
+// retired "no_cost_accounting" option key is ignored.
 func TestReplayCostAbsentSkipsCheck(t *testing.T) {
 	c := testCrossbar()
 	vin := []float64{0.3, 0.2, 0.1, 0.3}
-	opt := circuit.SolveOptions{NoCostAccounting: true}
-	res, err := c.Solve(vin, opt)
+	res, err := c.Solve(vin, circuit.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.NewSnapshot(vin, opt, res, nil)
-	if snap.Outcome.Cost != nil {
-		t.Fatalf("accounting-off snapshot recorded a cost model: %+v", snap.Outcome.Cost)
+	recorded, err := json.Marshal(c.NewSnapshot(vin, circuit.SolveOptions{}, res, nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Replays re-solve with the recorded options, so the re-run is also
-	// accounting-off and the recorded/absent cost must compare clean.
-	var sb strings.Builder
-	if err := Snapshot(context.Background(), snap, &sb, false); err != nil {
-		t.Fatalf("cost-less snapshot failed replay: %v\n%s", err, sb.String())
+	for _, tc := range []struct {
+		name    string
+		options map[string]any
+	}{
+		{"pre-cost", nil},
+		{"accounting-off", map[string]any{"no_cost_accounting": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(recorded, &doc); err != nil {
+				t.Fatal(err)
+			}
+			outcome := doc["outcome"].(map[string]any)
+			if _, ok := outcome["cost"]; !ok {
+				t.Fatalf("recorded snapshot has no cost model: %v", outcome)
+			}
+			delete(outcome, "cost")
+			opts, _ := doc["options"].(map[string]any)
+			if opts == nil {
+				opts = map[string]any{}
+				doc["options"] = opts
+			}
+			for k, v := range tc.options {
+				opts[k] = v
+			}
+			b, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "snap.json")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := circuit.LoadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Outcome.Cost != nil {
+				t.Fatalf("stripped snapshot still has a cost model: %+v", snap.Outcome.Cost)
+			}
+			var sb strings.Builder
+			if err := Snapshot(context.Background(), snap, &sb, false); err != nil {
+				t.Fatalf("cost-less snapshot failed replay: %v\n%s", err, sb.String())
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -16,22 +15,19 @@ import (
 //
 //	-metrics-out file   write the metrics registry on exit
 //	                    (Prometheus text; JSON when the path ends in .json)
-//	-trace-out file     write the aggregated span trace as JSON on exit
-//	-trace-events file  write the causal span timeline as Chrome
-//	                    trace-event JSON on exit (open in Perfetto or
-//	                    chrome://tracing)
-//	-run-out file       write the run manifest (run.json) on exit
+//	-run-out file       write the run manifest (run.json: per-phase span
+//	                    aggregates, final metrics, exit status) on exit
 //	-journal file       record the flight-recorder event journal (JSONL:
 //	                    solve_start/newton_iter/solve_end/transient_settle/
-//	                    candidate_eval/mc_trial/phase); divergence and
-//	                    non-settle snapshots land next to the file
+//	                    candidate_eval/mc_trial/phase/span); divergence and
+//	                    non-settle snapshots land next to the file, and
+//	                    mnsim-journal export turns it into a Chrome
+//	                    trace-event timeline
 //	-serve addr         serve the observability endpoints (/metrics,
-//	                    /metrics.json, /trace, /progress, /runinfo,
-//	                    /events, /healthz, /debug/pprof/*)
+//	                    /metrics.json, /trace, /trace.json, /progress,
+//	                    /runinfo, /events, /healthz, /debug/pprof/*)
 //	-serve-hold d       keep the -serve server up for d after the run so
 //	                    a scraper can take a final sample
-//	-pprof addr         deprecated alias of -serve exposing only
-//	                    /debug/pprof/*
 //	-progress           print a rate-limited live progress line to stderr
 //	-log-level level    default-logger verbosity (debug|info|warn|error|off)
 //	-resource-interval d  sample runtime/metrics (heap, GC, goroutines,
@@ -56,16 +52,13 @@ import (
 // failed sweep are exactly what the user wants to look at; record the
 // run's outcome with Run.SetError first so the manifest carries it.
 type Flags struct {
-	MetricsOut  string
-	TraceOut    string
-	TraceEvents string
-	RunOut      string
-	Journal     string
-	ServeAddr   string
-	ServeHold   time.Duration
-	PprofAddr   string
-	Progress    bool
-	LogLevel    string
+	MetricsOut string
+	RunOut     string
+	Journal    string
+	ServeAddr  string
+	ServeHold  time.Duration
+	Progress   bool
+	LogLevel   string
 
 	ResourceInterval time.Duration
 	MemSoftLimit     string
@@ -85,7 +78,6 @@ type Flags struct {
 	ctx       context.Context
 	servers   []*http.Server
 	serveAddr string
-	pprofAddr string
 	progStop  chan struct{}
 	progDone  chan struct{}
 	sampling  bool
@@ -96,20 +88,14 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{Run: NewRunInfo()}
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
 		"write metrics to this file on exit (Prometheus text format, or JSON if the path ends in .json)")
-	fs.StringVar(&f.TraceOut, "trace-out", "",
-		"write the aggregated span trace as JSON to this file on exit")
-	fs.StringVar(&f.TraceEvents, "trace-events", "",
-		"write the causal span timeline as Chrome trace-event JSON to this file on exit (viewable in Perfetto / chrome://tracing)")
 	fs.StringVar(&f.RunOut, "run-out", "",
 		"write the run manifest (run.json: tool, args, seed, per-phase wall time, final metrics, exit status) to this file on exit")
 	fs.StringVar(&f.Journal, "journal", "",
-		"record the flight-recorder event journal (JSONL) to this file; solver divergence / non-settle snapshots are written next to it")
+		"record the flight-recorder event journal (JSONL, every span included) to this file; solver divergence / non-settle snapshots are written next to it; mnsim-journal export turns it into a Perfetto timeline")
 	fs.StringVar(&f.ServeAddr, "serve", "",
-		"serve the observability endpoints on this address (e.g. localhost:6060): /metrics, /metrics.json, /trace, /progress, /runinfo, /events, /healthz, /debug/pprof/*")
+		"serve the observability endpoints on this address (e.g. localhost:6060): /metrics, /metrics.json, /trace, /trace.json, /progress, /runinfo, /events, /healthz, /debug/pprof/*")
 	fs.DurationVar(&f.ServeHold, "serve-hold", 0,
 		"keep the -serve server up this long after the run completes, for a final scrape (Ctrl-C ends the hold early)")
-	fs.StringVar(&f.PprofAddr, "pprof", "",
-		"deprecated: use -serve (which includes /debug/pprof/*); serves only the pprof handlers on this address")
 	fs.BoolVar(&f.Progress, "progress", false,
 		"print a live, rate-limited progress line (done/total, rate, ETA) to stderr")
 	fs.StringVar(&f.LogLevel, "log-level", "",
@@ -131,10 +117,10 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // have no cancellation to propagate.
 func (f *Flags) Start() error { return f.StartContext(context.Background()) }
 
-// StartContext applies the log level, brings up the observability and
-// pprof servers, and starts the -progress printer. Listens happen
-// synchronously so a bad -serve or -pprof address fails the run
-// immediately instead of dying silently in a goroutine. Cancelling ctx
+// StartContext applies the log level, opens the journal, brings up the
+// observability server, and starts the -progress printer. The listen
+// happens synchronously so a bad -serve address fails the run immediately
+// instead of dying silently in a goroutine. Cancelling ctx
 // (the CLIs pass their SIGINT context) shuts the servers down gracefully.
 func (f *Flags) StartContext(ctx context.Context) error {
 	f.ctx = ctx
@@ -149,10 +135,16 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		f.Run.SetArgs(os.Args[1:])
 	}
 	// Flight recorder: -journal records to a file (snapshots land next to
-	// it); -serve alone enables ring-only recording so /events is live.
+	// it); -serve alone enables ring-only recording so /events and
+	// /trace.json are live. Either way every completed span is journaled
+	// under the run's seed-derived trace ID; a plain run keeps the journal
+	// off, so a span costs one atomic load beyond its aggregate.
 	if f.Run != nil {
 		info := f.Run.snapshot()
 		defaultJournal.SetMeta(info.Tool, info.Seed)
+		if info.Seed != nil {
+			SetTraceSeed(*info.Seed)
+		}
 	}
 	if f.Journal != "" {
 		if err := defaultJournal.Open(f.Journal); err != nil {
@@ -161,22 +153,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 	} else if f.ServeAddr != "" {
 		defaultJournal.EnableRing()
 	}
-	// Causal tracing: one switch drives the span-record ring, journal
-	// "span" events, and /trace.json. Any sink that can consume span
-	// records turns it on; a plain run keeps it off so the neutrality
-	// benchmarks measure the true disabled cost.
-	if f.TraceEvents != "" || f.Journal != "" || f.ServeAddr != "" {
-		if f.Run != nil {
-			if info := f.Run.snapshot(); info.Seed != nil {
-				SetTraceSeed(*info.Seed)
-			}
-		}
-		EnableTraceEvents(0)
-	}
-	// Port 0 means "pick any free port", so two :0 binds never collide.
-	if f.ServeAddr != "" && f.ServeAddr == f.PprofAddr && !strings.HasSuffix(f.ServeAddr, ":0") {
-		return fmt.Errorf("telemetry: -serve and -pprof both bind %s; drop -pprof (deprecated), -serve already includes /debug/pprof/*", f.ServeAddr)
-	}
 	if f.ServeAddr != "" {
 		addr, err := f.listenAndServe(ctx, f.ServeAddr, NewServeMux(f.Run))
 		if err != nil {
@@ -184,14 +160,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		}
 		f.serveAddr = addr
 		Log().Info("observability serving", "addr", addr)
-	}
-	if f.PprofAddr != "" {
-		addr, err := f.listenAndServe(ctx, f.PprofAddr, NewPprofMux())
-		if err != nil {
-			return fmt.Errorf("telemetry: pprof listen: %w", err)
-		}
-		f.pprofAddr = addr
-		Log().Info("pprof serving (deprecated -pprof; prefer -serve)", "addr", addr)
 	}
 	if f.Progress {
 		f.startProgressPrinter(ctx)
@@ -259,10 +227,6 @@ func (f *Flags) listenAndServe(ctx context.Context, addr string, mux *http.Serve
 // Addr returns the resolved -serve listen address ("" when not serving);
 // with "-serve localhost:0" this is where the kernel put the server.
 func (f *Flags) Addr() string { return f.serveAddr }
-
-// PprofListenAddr returns the resolved -pprof listen address ("" when not
-// serving).
-func (f *Flags) PprofListenAddr() string { return f.pprofAddr }
 
 // isTerminal reports whether w is an interactive terminal (a character
 // device), which selects the carriage-return rewriting progress style.
@@ -338,9 +302,9 @@ func (f *Flags) startProgressPrinter(ctx context.Context) {
 }
 
 // Finish stops the progress printer, writes the requested dump files
-// (metrics, trace, then the run manifest, which snapshots the final
-// metrics), honours -serve-hold, and stops the servers. A failed dump
-// does not stop the later ones; the first error encountered is returned.
+// (metrics, then the run manifest, which snapshots the final metrics),
+// honours -serve-hold, and stops the servers. A failed dump does not stop
+// the later ones; the first error encountered is returned.
 func (f *Flags) Finish() error {
 	if f.progStop != nil {
 		close(f.progStop)
@@ -367,20 +331,6 @@ func (f *Flags) Finish() error {
 			first = err
 		} else if err == nil {
 			record("metrics", f.MetricsOut)
-		}
-	}
-	if f.TraceOut != "" {
-		if err := WriteTraceFile(f.TraceOut); err != nil && first == nil {
-			first = err
-		} else if err == nil {
-			record("trace", f.TraceOut)
-		}
-	}
-	if f.TraceEvents != "" {
-		if err := WriteTraceEventsFile(f.TraceEvents); err != nil && first == nil {
-			first = err
-		} else if err == nil {
-			record("trace_events", f.TraceEvents)
 		}
 	}
 	if f.Journal != "" {
@@ -422,6 +372,6 @@ func (f *Flags) Finish() error {
 		}
 	}
 	f.servers = nil
-	f.serveAddr, f.pprofAddr = "", ""
+	f.serveAddr = ""
 	return first
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -16,14 +17,16 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	dir := t.TempDir()
 	prom := filepath.Join(dir, "m.prom")
 	js := filepath.Join(dir, "m.json")
-	trace := filepath.Join(dir, "t.json")
-	if err := fs.Parse([]string{"-metrics-out", prom, "-trace-out", trace}); err != nil {
+	run := filepath.Join(dir, "run.json")
+	if err := fs.Parse([]string{"-metrics-out", prom, "-run-out", run}); err != nil {
 		t.Fatal(err)
 	}
 	GetCounter("mnsim_flagtest_total").Inc()
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
+	_, sp := StartSpan(context.Background(), "flagtest.phase")
+	sp.End()
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +37,20 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	if !strings.Contains(string(promBody), "mnsim_flagtest_total 1") {
 		t.Fatalf("Prometheus dump missing counter:\n%s", promBody)
 	}
-	traceBody, err := os.ReadFile(trace)
+	// The span aggregates land in the manifest's phases.
+	m, err := LoadManifest(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(traceBody), `"spans"`) {
-		t.Fatalf("trace dump malformed:\n%s", traceBody)
+	found := false
+	for _, p := range m.Phases {
+		found = found || (p.Name == "flagtest.phase" && p.Count >= 1)
+	}
+	if !found {
+		t.Fatalf("manifest phases missing flagtest.phase: %+v", m.Phases)
 	}
 	// A .json metrics path selects the JSON exporter.
-	f.MetricsOut, f.TraceOut = js, ""
+	f.MetricsOut, f.RunOut = js, ""
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +63,21 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	}
 }
 
-func TestFlagsBadPprofAddr(t *testing.T) {
+// The shared flag surface is exactly these twelve flags: timelines come
+// from -journal plus mnsim-journal export, span aggregates from the
+// -run-out manifest, and pprof from -serve.
+func TestAddFlagsSurface(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddFlags(fs)
-	if err := fs.Parse([]string{"-pprof", "256.256.256.256:99999"}); err != nil {
-		t.Fatal(err)
+	AddFlags(fs)
+	var got []string
+	fs.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
+	want := []string{
+		"journal", "log-level", "mem-soft-limit", "metrics-out",
+		"profile-dir", "profile-interval", "progress", "resource-interval",
+		"run-out", "serve", "serve-hold", "stall-timeout",
 	}
-	if err := f.Start(); err == nil {
-		f.Finish()
-		t.Fatal("bad pprof address accepted")
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("AddFlags registered %v, want %v", got, want)
 	}
 }
 
@@ -96,7 +110,6 @@ func TestFlagsFinishKeepsWritingAfterFailure(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
 		MetricsOut: filepath.Join(dir, "no-such-subdir", "m.prom"), // unwritable
-		TraceOut:   filepath.Join(dir, "t.json"),
 		RunOut:     filepath.Join(dir, "run.json"),
 		Run:        NewRunInfo(),
 	}
@@ -105,10 +118,7 @@ func TestFlagsFinishKeepsWritingAfterFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("unwritable -metrics-out did not surface an error")
 	}
-	// The later dumps must still have been written.
-	if _, serr := os.Stat(f.TraceOut); serr != nil {
-		t.Errorf("trace dump skipped after metrics failure: %v", serr)
-	}
+	// The later dump must still have been written.
 	if _, serr := os.Stat(f.RunOut); serr != nil {
 		t.Errorf("run manifest skipped after metrics failure: %v", serr)
 	}

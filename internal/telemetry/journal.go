@@ -17,8 +17,9 @@ import (
 // in-memory ring buffer. Where the metrics registry aggregates ("1 of
 // 10,220 candidates failed") and the tracer aggregates wall time, the
 // journal keeps the *individual* events — this solve diverged at iteration
-// 50 with this residual trajectory, that candidate failed with this error —
-// so a bad run can be diagnosed and replayed after the fact.
+// 50 with this residual trajectory, that candidate failed with this error,
+// every completed span — so a bad run can be diagnosed and replayed after
+// the fact.
 //
 // Crash safety: every event is marshalled to one complete line and written
 // with a single Write call on an append-only file, so a crash can lose at
@@ -136,6 +137,7 @@ type Journal struct {
 	total   int64
 	dropped int64
 	ring    []Event
+	head    int // oldest slot once the ring is full
 	ringCap int
 	tool    string
 	seed    *int64
@@ -258,9 +260,10 @@ func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
 	if len(j.ring) < j.ringCap {
 		j.ring = append(j.ring, ev)
 	} else {
-		// Overwrite the oldest slot; ring order is reconstructed from Seq.
-		copy(j.ring, j.ring[1:])
-		j.ring[len(j.ring)-1] = ev
+		// Overwrite the oldest slot in place: O(1) per event under the
+		// mutex, however full the ring.
+		j.ring[j.head] = ev
+		j.head = (j.head + 1) % j.ringCap
 		j.dropped++
 	}
 	f := j.f
@@ -328,6 +331,20 @@ type eventsJSON struct {
 	Events  []Event `json:"events"`
 }
 
+// ringLocked copies the ring oldest-first; j.mu must be held.
+func (j *Journal) ringLocked() []Event {
+	out := make([]Event, 0, len(j.ring))
+	out = append(out, j.ring[j.head:]...)
+	return append(out, j.ring[:j.head]...)
+}
+
+// Events returns the events still in the ring buffer, oldest first.
+func (j *Journal) Events() []Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ringLocked()
+}
+
 // WriteEventsJSON writes the ring buffer (oldest first) with total and
 // dropped counts — the /events endpoint body.
 func (j *Journal) WriteEventsJSON(w io.Writer) error {
@@ -336,12 +353,9 @@ func (j *Journal) WriteEventsJSON(w io.Writer) error {
 		Enabled: j.enabled.Load(),
 		Total:   j.total,
 		Dropped: j.dropped,
-		Events:  append([]Event(nil), j.ring...),
+		Events:  j.ringLocked(),
 	}
 	j.mu.Unlock()
-	if out.Events == nil {
-		out.Events = []Event{}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -351,7 +365,7 @@ func (j *Journal) WriteEventsJSON(w io.Writer) error {
 // helper, not part of the recording lifecycle.
 func (j *Journal) Reset() {
 	j.mu.Lock()
-	j.ring, j.seq, j.total, j.dropped, j.snaps = nil, 0, 0, 0, 0
+	j.ring, j.head, j.seq, j.total, j.dropped, j.snaps = nil, 0, 0, 0, 0, 0
 	j.tool, j.seed = "", nil
 	j.mu.Unlock()
 }

@@ -203,47 +203,52 @@ func TestJournalReaderRejectsMidFileCorruption(t *testing.T) {
 }
 
 // The ring buffer bounds memory: old events drop, the drop is counted, and
-// the file still holds everything.
+// the file still holds everything. Past a wraparound the ring serves
+// exactly the newest cap events in seq order; the 20-event case is 2.5x its
+// capacity, so 1.5x the capacity is dropped.
 func TestJournalRingBounded(t *testing.T) {
-	j, path := newTestJournal(t, 4)
-	for i := 0; i < 10; i++ {
-		j.Emit(EvPhase, "", map[string]any{"i": i})
-	}
-	var sb strings.Builder
-	if err := j.WriteEventsJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Enabled bool    `json:"enabled"`
-		Total   int64   `json:"total"`
-		Dropped int64   `json:"dropped"`
-		Events  []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Events) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(out.Events))
-	}
-	if out.Total != 11 || out.Dropped != 7 { // header + 10 emits, cap 4
-		t.Fatalf("total %d dropped %d, want 11/7", out.Total, out.Dropped)
-	}
-	// Ring keeps the most recent events in order.
-	for i := 1; i < len(out.Events); i++ {
-		if out.Events[i].Seq != out.Events[i-1].Seq+1 {
-			t.Fatalf("ring out of order: %d after %d", out.Events[i].Seq, out.Events[i-1].Seq)
+	for _, tc := range []struct{ ringCap, emits int }{{4, 10}, {8, 19}} {
+		j, path := newTestJournal(t, tc.ringCap)
+		for i := 0; i < tc.emits; i++ {
+			j.Emit(EvPhase, "", map[string]any{"i": i})
 		}
-	}
-	if out.Events[len(out.Events)-1].Seq != 11 {
-		t.Fatalf("newest ring seq %d, want 11", out.Events[len(out.Events)-1].Seq)
-	}
-	j.Close()
-	events, err := ReadJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 11 {
-		t.Fatalf("file holds %d events, want all 11", len(events))
+		var sb strings.Builder
+		if err := j.WriteEventsJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Enabled bool    `json:"enabled"`
+			Total   int64   `json:"total"`
+			Dropped int64   `json:"dropped"`
+			Events  []Event `json:"events"`
+		}
+		if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+			t.Fatal(err)
+		}
+		total := int64(tc.emits + 1) // the header plus the emits
+		if len(out.Events) != tc.ringCap {
+			t.Fatalf("cap %d: ring holds %d", tc.ringCap, len(out.Events))
+		}
+		if out.Total != total || out.Dropped != total-int64(tc.ringCap) {
+			t.Fatalf("cap %d: total %d dropped %d, want %d/%d", tc.ringCap, out.Total, out.Dropped, total, total-int64(tc.ringCap))
+		}
+		// Ring keeps the most recent events, oldest first.
+		for i, ev := range out.Events {
+			if want := total - int64(tc.ringCap) + int64(i) + 1; ev.Seq != want {
+				t.Fatalf("cap %d: ring slot %d has seq %d, want %d", tc.ringCap, i, ev.Seq, want)
+			}
+		}
+		if got := j.Events(); len(got) != tc.ringCap || got[0].Seq != out.Events[0].Seq {
+			t.Fatalf("cap %d: Events() disagrees with /events: %d events", tc.ringCap, len(got))
+		}
+		j.Close()
+		events, err := ReadJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(events)) != total {
+			t.Fatalf("cap %d: file holds %d events, want all %d", tc.ringCap, len(events), total)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime/metrics"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -763,10 +762,4 @@ func FormatByteSize(b uint64) string {
 		exp++
 	}
 	return fmt.Sprintf("%.1f %ciB", float64(b)/float64(div), "KMGTPE"[exp])
-}
-
-// SortSamplesByTime orders samples oldest-first by timestamp — journal
-// readers reconstructing a timeline use it after merging sources.
-func SortSamplesByTime(samples []ResourceSample) {
-	sort.Slice(samples, func(i, j int) bool { return samples[i].TNS < samples[j].TNS })
 }

@@ -27,8 +27,10 @@ func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
 //	/metrics        Prometheus text exposition (version 0.0.4)
 //	/metrics.json   the same registry as JSON
 //	/trace          span wall-time aggregates as JSON
-//	/trace.json     the causal span timeline as Chrome trace-event JSON
-//	                (save and open in Perfetto / chrome://tracing)
+//	/trace.json     the spans still in the journal ring as a Chrome
+//	                trace-event timeline (save and open in Perfetto /
+//	                chrome://tracing); the full timeline of a journaled
+//	                run comes from mnsim-journal export
 //	/progress       live sweep phases: total/done, rate, ETA
 //	/events         the flight-recorder ring buffer (most recent journal
 //	                events) with total/dropped counts
@@ -54,7 +56,7 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 		return defaultTracer.WriteJSON(w)
 	}))
 	mux.HandleFunc("/trace.json", jsonHandler(func(w http.ResponseWriter) error {
-		return defaultTracer.WriteTraceEvents(w)
+		return WriteTraceEventsTo(w, SpanRecordsFromEvents(defaultJournal.Events()))
 	}))
 	mux.HandleFunc("/progress", jsonHandler(func(w http.ResponseWriter) error {
 		return defaultProgress.WriteJSON(w)
@@ -74,14 +76,6 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	mountPprof(mux)
-	return mux
-}
-
-// NewPprofMux builds a mux carrying only the /debug/pprof/* handlers —
-// what the deprecated -pprof flag serves.
-func NewPprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
 	mountPprof(mux)
 	return mux
 }

@@ -10,32 +10,79 @@ import (
 	"time"
 )
 
-// Tracer aggregates span wall times per hierarchical span name. It is not
-// a distributed tracer: there is no per-span event log, only the
-// per-name aggregate (count / total / min / max), which is what the
-// paper-style speed analysis needs and what stays O(1) in memory across a
-// 10,220-candidate sweep.
+// Tracer aggregates span wall times per hierarchical span name: count /
+// total / min / max, which is what the paper-style speed analysis needs and
+// what stays O(1) in memory across a 10,220-candidate sweep. Individual
+// span records are not kept here: while the tracer's journal is recording,
+// each completed span is emitted to it as a "span" event, and the journal
+// is the one store every timeline view (/trace.json, mnsim-journal export)
+// is derived from.
 type Tracer struct {
 	mu  sync.Mutex
 	agg map[string]*spanAgg
 
-	// Causal-trace state (trace.go): the run's trace ID, a counter
-	// discriminating sequentially started root spans, and the bounded ring
-	// of completed span records behind EnableTraceEvents.
-	traceID   atomic.Uint64
-	rootSeq   atomic.Int64
-	eventsOn  atomic.Bool
-	evMu      sync.Mutex
-	events    []SpanRecord
-	evHead    int
-	evCap     int
-	evDropped int64
+	// Causal-trace state (trace.go): the run's trace ID and a counter
+	// discriminating sequentially started root spans.
+	traceID atomic.Uint64
+	rootSeq atomic.Int64
+
+	// journal receives one "span" event per completed span while it is
+	// recording; nil for a standalone tracer.
+	journal *Journal
 }
 
+// spanAgg is the count / total / min / max fold of one span name, shared
+// by the live Tracer and by SpanStats over journaled records.
 type spanAgg struct {
 	count    int64
 	total    time.Duration
 	min, max time.Duration
+}
+
+// foldSpan adds one span duration to the aggregate of path.
+func foldSpan(agg map[string]*spanAgg, path string, d time.Duration) {
+	a := agg[path]
+	if a == nil {
+		a = &spanAgg{min: d, max: d}
+		agg[path] = a
+	}
+	a.count++
+	a.total += d
+	if d < a.min {
+		a.min = d
+	}
+	if d > a.max {
+		a.max = d
+	}
+}
+
+// spanStats exports a fold as SpanStats sorted by name.
+func spanStats(agg map[string]*spanAgg) []SpanStat {
+	out := make([]SpanStat, 0, len(agg))
+	for name, a := range agg {
+		us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+		out = append(out, SpanStat{
+			Name:    name,
+			Count:   a.count,
+			TotalUS: us(a.total),
+			AvgUS:   us(a.total) / float64(a.count),
+			MinUS:   us(a.min),
+			MaxUS:   us(a.max),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// SpanStats folds span records into per-path aggregates — the offline
+// equivalent of Tracer.Stats, so a journaled run's span events reproduce
+// the phases of its run manifest.
+func SpanStats(recs []SpanRecord) []SpanStat {
+	agg := map[string]*spanAgg{}
+	for _, r := range recs {
+		foldSpan(agg, r.Path, time.Duration(r.DurNS))
+	}
+	return spanStats(agg)
 }
 
 // NewTracer returns an empty tracer.
@@ -116,42 +163,28 @@ func (s *Span) Name() string {
 }
 
 // End closes the span and folds its wall time into the tracer's per-name
-// aggregate, returning the elapsed duration (zero on repeated End). When
-// trace events are on, the completed span is additionally retained as a
-// SpanRecord and — on the default tracer with the journal recording —
-// emitted as a journal "span" event (times in microseconds, IDs in hex
-// wire form).
+// aggregate, returning the elapsed duration (zero on repeated End). While
+// the tracer's journal is recording, the completed span is also emitted as
+// a journal "span" event (times in microseconds, IDs in hex wire form).
 func (s *Span) End() time.Duration {
 	if s == nil || s.done.Swap(true) {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.tracer.record(s.path, d)
-	if s.tracer.eventsOn.Load() {
-		rec := SpanRecord{
-			Name:     s.name,
-			Path:     s.path,
-			TraceID:  s.traceID,
-			SpanID:   s.spanID,
-			ParentID: s.parentID,
-			StartNS:  s.start.UnixNano(),
-			DurNS:    d.Nanoseconds(),
+	if j := s.tracer.journal; j != nil && j.Enabled() {
+		data := map[string]any{
+			"name":     s.name,
+			"path":     s.path,
+			"trace_id": FormatID(s.traceID),
+			"span_id":  FormatID(s.spanID),
+			"start_us": float64(s.start.UnixNano()) / 1e3,
+			"dur_us":   float64(d.Nanoseconds()) / 1e3,
 		}
-		s.tracer.recordEvent(rec)
-		if s.tracer == defaultTracer && defaultJournal.Enabled() {
-			data := map[string]any{
-				"name":     s.name,
-				"path":     s.path,
-				"trace_id": FormatID(s.traceID),
-				"span_id":  FormatID(s.spanID),
-				"start_us": float64(rec.StartNS) / 1e3,
-				"dur_us":   float64(rec.DurNS) / 1e3,
-			}
-			if s.parentID != 0 {
-				data["parent_id"] = FormatID(s.parentID)
-			}
-			defaultJournal.Emit(EvSpan, "", data)
+		if s.parentID != 0 {
+			data["parent_id"] = FormatID(s.parentID)
 		}
+		j.Emit(EvSpan, "", data)
 	}
 	return d
 }
@@ -159,26 +192,17 @@ func (s *Span) End() time.Duration {
 func (t *Tracer) record(path string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a := t.agg[path]
-	if a == nil {
-		a = &spanAgg{min: d, max: d}
-		t.agg[path] = a
-	}
-	a.count++
-	a.total += d
-	if d < a.min {
-		a.min = d
-	}
-	if d > a.max {
-		a.max = d
-	}
+	foldSpan(t.agg, path, d)
 }
 
-// Reset drops every aggregate; intended for tests.
+// Reset drops every aggregate and the causal-trace state (trace seed and
+// root-span counter); intended for tests.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.agg = map[string]*spanAgg{}
+	t.rootSeq.Store(0)
+	t.traceID.Store(0)
 }
 
 // SpanStat is the exported aggregate of one span name.
@@ -195,20 +219,7 @@ type SpanStat struct {
 func (t *Tracer) Stats() []SpanStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanStat, 0, len(t.agg))
-	for name, a := range t.agg {
-		us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-		out = append(out, SpanStat{
-			Name:    name,
-			Count:   a.count,
-			TotalUS: us(a.total),
-			AvgUS:   us(a.total) / float64(a.count),
-			MinUS:   us(a.min),
-			MaxUS:   us(a.max),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return spanStats(t.agg)
 }
 
 // Stat returns the aggregate for one span name and whether it exists.

@@ -4,8 +4,7 @@
 // speed-up ratios hinge on knowing exactly where solver time goes; this
 // package is the measurement substrate those claims are checked against.
 //
-// It provides three facilities, all stdlib-only and safe for concurrent
-// use:
+// It provides, all stdlib-only and safe for concurrent use:
 //
 //   - a process-wide metrics Registry of atomic counters, gauges and
 //     fixed-bucket histograms, exportable as Prometheus text format or
@@ -14,7 +13,11 @@
 //   - lightweight hierarchical span tracing: StartSpan(ctx, "dse.candidate")
 //     opens a span whose name is prefixed by any parent span carried in the
 //     context, and End() folds its wall time into a per-name aggregate
-//     (count / total / min / max) exported as JSON;
+//     (count / total / min / max) — the run manifest's phases;
+//
+//   - the flight-recorder Journal, the one store of individual events:
+//     solves, candidates, trials, resource samples, and every completed
+//     span, from which the timelines and offline summaries are derived;
 //
 //   - a leveled key-value structured Logger.
 //
@@ -24,9 +27,10 @@
 // families with zero observations, which documents what *could* have been
 // measured in a run.
 //
-// The CLIs expose the layer through three shared flags (AddFlags):
-// -metrics-out writes the registry on exit, -trace-out writes the span
-// aggregates, and -pprof serves net/http/pprof for CPU/heap profiling.
+// The CLIs expose the layer through the shared flags AddFlags registers
+// (see Flags): -metrics-out writes the registry on exit, -run-out the run
+// manifest, -journal the event journal, and -serve serves all of it live,
+// net/http/pprof included.
 package telemetry
 
 import (
@@ -39,10 +43,11 @@ import (
 )
 
 // defaultRegistry and defaultTracer are the process-wide instances that the
-// package-level helpers and the instrumented library packages use.
+// package-level helpers and the instrumented library packages use. The
+// default tracer journals its spans to the default journal.
 var (
 	defaultRegistry = NewRegistry()
-	defaultTracer   = NewTracer()
+	defaultTracer   = &Tracer{agg: map[string]*spanAgg{}, journal: defaultJournal}
 )
 
 // Default returns the process-wide metrics registry.
@@ -102,12 +107,6 @@ func WriteMetricsFile(path string) error {
 		}
 		return defaultRegistry.WritePrometheus(w)
 	})
-}
-
-// WriteTraceFile dumps the default tracer's span aggregates as JSON. The
-// write is atomic (temp file + rename).
-func WriteTraceFile(path string) error {
-	return writeFileAtomic(path, defaultTracer.WriteJSON)
 }
 
 // HashBytes returns a short hex SHA-256 content hash, the config-hash

@@ -18,20 +18,15 @@ import (
 // count or scheduling — the same determinism contract the solver results
 // obey.
 //
-// Completed spans are additionally recorded into a bounded in-memory ring
-// (EnableTraceEvents) and, when the flight recorder is on, as journal
-// "span" events; both feed the Chrome trace-event JSON export
-// (-trace-events / /trace.json / mnsim-journal export) that Perfetto and
-// chrome://tracing render as a timeline.
+// While the flight recorder is on, completed spans are recorded as journal
+// "span" events, and the journal is their only store: the Chrome
+// trace-event JSON export (/trace.json from the live ring, mnsim-journal
+// export from a journal file) that Perfetto and chrome://tracing render as
+// a timeline is derived from those events.
 
 // traceSalt decorrelates the trace-ID family from the raw seed values the
 // per-trial RNG streams already consume ("mnsim-tr" as ASCII).
 const traceSalt = 0x6d6e73696d2d7472
-
-// DefaultTraceEventCap bounds the in-memory span-record ring: enough to
-// hold every span of a large sweep (candidates plus their solve phases)
-// at roughly 100 bytes per record.
-const DefaultTraceEventCap = 1 << 16
 
 // mix64 is the splitmix64 finalizer — the same integer mixer the seeded
 // per-trial RNG streams use, applied here to derive trace and span IDs.
@@ -120,8 +115,8 @@ func (t *Tracer) deriveIDs(parent *Span, name, key string) (traceID, spanID, par
 	return traceID, spanID, parentID
 }
 
-// SpanRecord is one completed span: the unit of the trace-event ring and
-// of the Chrome trace-event export. StartNS is wall-clock Unix
+// SpanRecord is one completed span as decoded from a journal "span" event:
+// the unit of the Chrome trace-event export. StartNS is wall-clock Unix
 // nanoseconds; DurNS the span's elapsed time.
 type SpanRecord struct {
 	// Name is the span's leaf name, Path its full hierarchical name.
@@ -134,75 +129,6 @@ type SpanRecord struct {
 	ParentID uint64
 	StartNS  int64
 	DurNS    int64
-}
-
-// EnableTraceEvents starts recording completed spans into the bounded
-// in-memory ring (capacity <= 0 selects DefaultTraceEventCap; the capacity
-// of an already-allocated ring is kept). ID derivation happens regardless —
-// this only gates the per-span record retention.
-func (t *Tracer) EnableTraceEvents(capacity int) {
-	t.evMu.Lock()
-	if t.evCap == 0 {
-		if capacity <= 0 {
-			capacity = DefaultTraceEventCap
-		}
-		t.evCap = capacity
-	}
-	t.evMu.Unlock()
-	t.eventsOn.Store(true)
-}
-
-// DisableTraceEvents stops span-record retention; the ring is kept for
-// inspection until ResetTraceEvents.
-func (t *Tracer) DisableTraceEvents() { t.eventsOn.Store(false) }
-
-// TraceEventsOn reports whether span records are being retained.
-// Instrumented hot paths use it to gate optional fine-grained spans (e.g.
-// the per-phase solve spans), so a run without tracing pays nothing.
-func (t *Tracer) TraceEventsOn() bool { return t.eventsOn.Load() }
-
-// EnableTraceEvents enables span-record retention on the default tracer.
-func EnableTraceEvents(capacity int) { defaultTracer.EnableTraceEvents(capacity) }
-
-// DisableTraceEvents stops span-record retention on the default tracer.
-func DisableTraceEvents() { defaultTracer.DisableTraceEvents() }
-
-// TraceEventsOn reports whether the default tracer retains span records.
-func TraceEventsOn() bool { return defaultTracer.TraceEventsOn() }
-
-// recordEvent appends a completed span to the ring, overwriting the oldest
-// record when full (circular indexing — no per-overflow copying).
-func (t *Tracer) recordEvent(r SpanRecord) {
-	t.evMu.Lock()
-	if len(t.events) < t.evCap {
-		t.events = append(t.events, r)
-	} else if t.evCap > 0 {
-		t.events[t.evHead] = r
-		t.evHead = (t.evHead + 1) % t.evCap
-		t.evDropped++
-	}
-	t.evMu.Unlock()
-}
-
-// TraceEvents returns the retained span records oldest-first, plus how
-// many were dropped when the ring overflowed.
-func (t *Tracer) TraceEvents() (records []SpanRecord, dropped int64) {
-	t.evMu.Lock()
-	defer t.evMu.Unlock()
-	records = make([]SpanRecord, 0, len(t.events))
-	records = append(records, t.events[t.evHead:]...)
-	records = append(records, t.events[:t.evHead]...)
-	return records, t.evDropped
-}
-
-// ResetTraceEvents drops the ring and its counters; test helper.
-func (t *Tracer) ResetTraceEvents() {
-	t.evMu.Lock()
-	t.events, t.evHead, t.evCap, t.evDropped = nil, 0, 0, 0
-	t.evMu.Unlock()
-	t.eventsOn.Store(false)
-	t.rootSeq.Store(0)
-	t.traceID.Store(0)
 }
 
 // SpanFromContext returns the innermost span carried by ctx, or nil.
@@ -413,19 +339,6 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
-}
-
-// WriteTraceEvents writes the tracer's retained span records as a Chrome
-// trace-event document.
-func (t *Tracer) WriteTraceEvents(w io.Writer) error {
-	recs, _ := t.TraceEvents()
-	return WriteTraceEventsTo(w, recs)
-}
-
-// WriteTraceEventsFile dumps the default tracer's span records as a Chrome
-// trace-event JSON file (atomic write), the -trace-events flag's sink.
-func WriteTraceEventsFile(path string) error {
-	return writeFileAtomic(path, defaultTracer.WriteTraceEvents)
 }
 
 // SpanRecordsFromEvents reconstructs span records from a journal's "span"

@@ -13,6 +13,25 @@ import (
 	"testing"
 )
 
+// ringTracer returns a standalone tracer journaling its spans into a
+// private ring-only journal of the given capacity.
+func ringTracer(capacity int) (*Tracer, *Journal) {
+	j := NewJournal(capacity)
+	j.EnableRing()
+	tr := NewTracer()
+	tr.journal = j
+	return tr, j
+}
+
+// ringSpans decodes the span records still in j's ring, plus how many
+// events the ring dropped.
+func ringSpans(j *Journal) ([]SpanRecord, int64) {
+	j.mu.Lock()
+	dropped := j.dropped
+	j.mu.Unlock()
+	return SpanRecordsFromEvents(j.Events()), dropped
+}
+
 func TestFormatParseIDRoundTrip(t *testing.T) {
 	for _, id := range []uint64{0, 1, 0xdeadbeef, ^uint64(0), mix64(42)} {
 		s := FormatID(id)
@@ -36,9 +55,8 @@ func TestFormatParseIDRoundTrip(t *testing.T) {
 // position in the call tree — two identical runs produce identical IDs.
 func TestSpanIDsDeterministic(t *testing.T) {
 	runOnce := func() []SpanRecord {
-		tr := NewTracer()
+		tr, j := ringTracer(64)
 		tr.SetTraceSeed(1234)
-		tr.EnableTraceEvents(64)
 		ctx, root := tr.StartSpan(context.Background(), "dse.explore")
 		for i := 0; i < 3; i++ {
 			cctx, cand := tr.StartSpanKeyed(ctx, "candidate", fmt.Sprintf("cand-%d", i))
@@ -47,7 +65,7 @@ func TestSpanIDsDeterministic(t *testing.T) {
 			cand.End()
 		}
 		root.End()
-		recs, _ := tr.TraceEvents()
+		recs, _ := ringSpans(j)
 		return recs
 	}
 	a, b := runOnce(), runOnce()
@@ -108,11 +126,10 @@ func TestKeyedSpanIDsOrderIndependent(t *testing.T) {
 }
 
 // Concurrent keyed spans under one parent: IDs stay deterministic and the
-// ring absorbs all records (run with -race).
+// journal ring absorbs all records (run with -race).
 func TestConcurrentKeyedSpans(t *testing.T) {
-	tr := NewTracer()
+	tr, j := ringTracer(128)
 	tr.SetTraceSeed(7)
-	tr.EnableTraceEvents(128)
 	ctx, root := tr.StartSpan(context.Background(), "sweep")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -125,7 +142,7 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	recs, dropped := tr.TraceEvents()
+	recs, dropped := ringSpans(j)
 	if dropped != 0 || len(recs) != 17 {
 		t.Fatalf("got %d records (%d dropped), want 17/0", len(recs), dropped)
 	}
@@ -136,16 +153,15 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 	}
 }
 
-// The span-record ring is bounded: overflow keeps the newest records and
-// counts the drops.
+// Span records live in the journal ring, which is bounded: overflow keeps
+// the newest records and counts the drops.
 func TestTraceEventRingBounded(t *testing.T) {
-	tr := NewTracer()
-	tr.EnableTraceEvents(4)
+	tr, j := ringTracer(4)
 	for i := 0; i < 10; i++ {
 		_, s := tr.StartSpanKeyed(context.Background(), "tick", fmt.Sprintf("%d", i))
 		s.End()
 	}
-	recs, dropped := tr.TraceEvents()
+	recs, dropped := ringSpans(j)
 	if len(recs) != 4 || dropped != 6 {
 		t.Fatalf("ring holds %d (%d dropped), want 4/6", len(recs), dropped)
 	}
@@ -157,13 +173,15 @@ func TestTraceEventRingBounded(t *testing.T) {
 	}
 }
 
-// Disabled trace events: End records nothing (the aggregate still counts).
+// A journal that is not recording: End records nothing (the aggregate
+// still counts).
 func TestTraceEventsOffRecordsNothing(t *testing.T) {
-	tr := NewTracer()
+	tr, j := ringTracer(16)
+	j.Close()
 	_, s := tr.StartSpan(context.Background(), "quiet")
 	s.End()
-	if recs, _ := tr.TraceEvents(); len(recs) != 0 {
-		t.Fatalf("disabled tracer retained %d records", len(recs))
+	if recs, _ := ringSpans(j); len(recs) != 0 {
+		t.Fatalf("disabled journal retained %d span records", len(recs))
 	}
 	if _, ok := tr.Stat("quiet"); !ok {
 		t.Fatal("aggregate lost when events off")
@@ -230,12 +248,12 @@ func TestWriteTraceEventsFormat(t *testing.T) {
 	}
 }
 
-// Ending a span on the default tracer with events on and the journal
-// recording must emit a "span" event that reconstructs to the same record
-// (the mnsim-journal export path).
+// Ending a span on the default tracer with the journal recording must
+// emit a "span" event that reconstructs to the same record (the
+// mnsim-journal export path).
 func TestSpanJournalRoundTrip(t *testing.T) {
 	defaultJournal.Reset()
-	defaultTracer.ResetTraceEvents()
+	defaultTracer.Reset()
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	if err := defaultJournal.Open(path); err != nil {
 		t.Fatal(err)
@@ -243,15 +261,13 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	defer func() {
 		defaultJournal.Close()
 		defaultJournal.Reset()
-		defaultTracer.ResetTraceEvents()
+		defaultTracer.Reset()
 	}()
 	SetTraceSeed(42)
-	EnableTraceEvents(16)
 	ctx, parent := StartSpan(context.Background(), "run")
 	_, child := StartSpanKeyed(ctx, "candidate", "cand-8x2@45")
 	child.End()
 	parent.End()
-	DisableTraceEvents()
 	if err := defaultJournal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +291,8 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	if got.DurNS < 0 || got.StartNS <= 0 {
 		t.Fatalf("timing did not survive: %+v", got)
 	}
-	// The live ring and the journal reconstruction agree on identity.
-	live, _ := defaultTracer.TraceEvents()
+	// The live ring and the journal file agree on identity.
+	live := SpanRecordsFromEvents(defaultJournal.Events())
 	if len(live) != 2 || live[0].SpanID != recs[0].SpanID || live[1].SpanID != recs[1].SpanID {
 		t.Fatalf("ring/journal disagree: ring %+v journal %+v", live, recs)
 	}
@@ -319,7 +335,7 @@ func TestReadJournalRefusesNewerSchema(t *testing.T) {
 // the join key between the event stream and the span timeline.
 func TestEmitEventCtxStampsIDs(t *testing.T) {
 	defaultJournal.Reset()
-	defaultTracer.ResetTraceEvents()
+	defaultTracer.Reset()
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	if err := defaultJournal.Open(path); err != nil {
 		t.Fatal(err)
@@ -327,7 +343,7 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	defer func() {
 		defaultJournal.Close()
 		defaultJournal.Reset()
-		defaultTracer.ResetTraceEvents()
+		defaultTracer.Reset()
 	}()
 	SetTraceSeed(5)
 	ctx, sp := StartSpan(context.Background(), "solve")
@@ -340,8 +356,11 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 { // header + 2
+	if len(events) != 4 { // header + 2 + the span itself
 		t.Fatalf("got %d events", len(events))
+	}
+	if events[3].Type != EvSpan {
+		t.Fatalf("last event %s, want the span", events[3].Type)
 	}
 	ev := events[1]
 	if ev.Data["trace_id"] != FormatID(sp.TraceID()) || ev.Data["span_id"] != FormatID(sp.SpanID()) {
@@ -358,13 +377,18 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}
 }
 
-// The /trace.json endpoint serves the same Chrome trace-event document the
-// -trace-events flag writes.
+// The /trace.json endpoint serves the spans in the default journal's ring
+// as the Chrome trace-event document mnsim-journal export writes.
 func TestServeMuxTraceJSON(t *testing.T) {
-	defaultTracer.ResetTraceEvents()
-	defer defaultTracer.ResetTraceEvents()
+	defaultJournal.Reset()
+	defaultTracer.Reset()
+	defer func() {
+		defaultJournal.Close()
+		defaultJournal.Reset()
+		defaultTracer.Reset()
+	}()
 	SetTraceSeed(11)
-	EnableTraceEvents(16)
+	defaultJournal.EnableRing()
 	_, s := StartSpan(context.Background(), "probe")
 	s.End()
 	srv := httptest.NewServer(NewServeMux(nil))
