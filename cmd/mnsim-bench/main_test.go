@@ -47,8 +47,86 @@ func TestJSONSubcommand(t *testing.T) {
 	if b == nil || b.NsStat == nil || b.NsStat.Min != 95e6 {
 		t.Fatalf("json output lost stats: %+v", b)
 	}
-	if doc.GoOS == "" || doc.GoArch == "" {
-		t.Fatalf("json output lost the environment header: %+v", doc)
+}
+
+// multiPkgOutput spans two packages, repeats one benchmark three times and
+// leaves another without custom metrics.
+const multiPkgOutput = `goos: linux
+goarch: amd64
+pkg: mnsim/internal/circuit
+cpu: Test CPU @ 2.00GHz
+BenchmarkSolve/16x16-8         	       1	  1200000 ns/op	        12.00 newton-iters/op	       345.0 cg-iters/op
+BenchmarkSolve/16x16-8         	       1	  1100000 ns/op	        12.00 newton-iters/op	       340.0 cg-iters/op
+BenchmarkSolve/16x16-8         	       1	  1300000 ns/op	        12.00 newton-iters/op	       350.0 cg-iters/op
+BenchmarkSolve/64x64-8         	       1	  9000000 ns/op	        14.00 newton-iters/op	       900.0 cg-iters/op
+PASS
+ok  	mnsim/internal/circuit	0.123s
+pkg: mnsim/internal/dse
+BenchmarkExplore/workers=4-8   	       1	  5000000 ns/op
+PASS
+ok  	mnsim/internal/dse	0.456s
+`
+
+func TestJSONAggregatesMedian(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"json"}, strings.NewReader(multiPkgOutput), &sb); err != nil {
+		t.Fatal(err)
+	}
+	var doc bench.Doc
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatalf("stdout is not valid JSON: %v\n%s", err, sb.String())
+	}
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("got %d benchmarks, want 3: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	b := doc.Benchmarks[0]
+	if b.Name != "BenchmarkSolve/16x16" {
+		t.Errorf("name %q: GOMAXPROCS suffix should be stripped", b.Name)
+	}
+	if b.Runs != 3 {
+		t.Errorf("runs = %d, want 3", b.Runs)
+	}
+	if b.NsPerOp != 1.2e6 {
+		t.Errorf("ns/op median = %g, want 1.2e6", b.NsPerOp)
+	}
+	if got := b.Metrics["newton-iters/op"]; got != 12 {
+		t.Errorf("newton-iters/op = %g, want 12", got)
+	}
+	if got := b.Metrics["cg-iters/op"]; got != 345 {
+		t.Errorf("cg-iters/op median = %g, want 345", got)
+	}
+	// Single-run benchmark without custom metrics.
+	e := doc.Benchmarks[2]
+	if e.Name != "BenchmarkExplore/workers=4" || e.Runs != 1 || e.NsPerOp != 5e6 {
+		t.Errorf("explore bench parsed wrong: %+v", e)
+	}
+	if e.Metrics != nil {
+		t.Errorf("explore bench has unexpected metrics: %v", e.Metrics)
+	}
+}
+
+func TestJSONRejectsEmptyInput(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"json"}, strings.NewReader("PASS\nok  pkg 0.1s\n"), &sb); err == nil {
+		t.Error("input without benchmark lines accepted")
+	}
+}
+
+func TestJSONWritesFile(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"json", "-out", out}, strings.NewReader(multiPkgOutput), nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bench.Doc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, data)
+	}
+	if doc.GoOS == "" || doc.GoArch == "" || len(doc.Benchmarks) != 3 {
+		t.Fatalf("round-trip lost fields: %+v", doc)
 	}
 }
 
@@ -121,9 +199,6 @@ func TestBadInvocations(t *testing.T) {
 	}
 	if err := run([]string{"bogus"}, nil, nil); err == nil {
 		t.Error("unknown subcommand accepted")
-	}
-	if err := run([]string{"json"}, strings.NewReader("PASS\nok  pkg 0.1s\n"), nil); err == nil {
-		t.Error("json input without benchmark lines accepted")
 	}
 	if err := run([]string{"gate"}, strings.NewReader(""), nil); err == nil {
 		t.Error("gate without -baseline accepted")
