@@ -85,16 +85,20 @@ func BenchmarkSolveWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Deterministic per-iteration drift (no mid-loop rand): each solve
-		// sees a slightly different input, so the memo never hits and the
-		// warm start does real work.
-		scale := 1 + 1e-3*float64(i%7)
+		// Deterministic per-iteration drift (no mid-loop rand), starting
+		// at the first timed iteration: no solve repeats the warm-up input
+		// or its predecessor, so the memo never answers and the warm start
+		// does real work.
+		scale := 1 + 1e-3*float64(1+i%7)
 		for m := range vin {
 			vin[m] = base[m] * scale
 		}
 		res, err := c.Solve(vin, SolveOptions{State: st})
 		if err != nil {
 			b.Fatal(err)
+		}
+		if res.Diag.CacheHit {
+			b.Fatalf("iteration %d answered from the result memo", i)
 		}
 		cg += int64(res.CGIters)
 		refreshes += int64(res.Diag.PrecondRefreshes)

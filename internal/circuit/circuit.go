@@ -9,8 +9,11 @@
 // interconnect resistance r, every column terminates in a sensing resistor
 // R_s, and each memristor follows the non-linear sinh I–V law of the device
 // model. The non-linear system is solved with Newton–Raphson over a
-// Jacobi-preconditioned conjugate-gradient linear core (the conductance
-// matrix is symmetric positive definite).
+// conjugate-gradient linear core (the conductance matrix is symmetric
+// positive definite). The matrix is never assembled: a matrix-free stencil
+// operator applies it from the cell conductances, and a block-Jacobi
+// preconditioner over the row and column wire chains factors each chain
+// as a tridiagonal Cholesky.
 //
 // The package can also emit the crossbar as a SPICE netlist (Section IV.A:
 // "MNSIM can generate the netlist file for circuit-level simulators like
@@ -60,9 +63,6 @@ var (
 // I–V evaluation (a sinh/cosh pair plus scaling); the exact kernel counts
 // elsewhere in the cost model are unaffected by this constant.
 const deviceEvalFlops = 8
-
-// coordBytes is the size of one linalg.Coord (two ints + one float64).
-const coordBytes = 24
 
 // Crossbar describes one crossbar instance to simulate at circuit level.
 type Crossbar struct {
@@ -229,200 +229,94 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostM
 	return res, nil
 }
 
-// assembly holds the constant sparsity pattern plus the slots that Newton
-// iteration rewrites.
+// assembly is one solve's linear system: the stencil operator plus the
+// source right-hand side. Its buffers depend only on the crossbar shape, so
+// a SolverState reuses them across solves.
 type assembly struct {
-	trips   []linalg.Coord
-	memIdx  [][4]int // per cell: indices of its 4 triplets in trips
-	mat     *linalg.CSR
+	op      *stencil
 	rhsBase []float64 // source contributions, constant across iterations
 	// rhsFull is restamp's reusable output buffer (rhsBase + Newton
-	// equivalent currents); kept on the assembly so a state-cached pattern
-	// also reuses the per-iteration right-hand side.
+	// equivalent currents).
 	rhsFull []float64
-	srcG    float64
 }
 
-func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) (*assembly, error) {
+// assemble allocates the system's buffers and stamps them.
+func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) *assembly {
 	n2 := 2 * c.M * c.N
-	a := &assembly{rhsBase: make([]float64, n2), srcG: c.wireG()}
-	// Exact triplet count — row wires M·(4(N−1)+1), column wires
-	// N·(4(M−1)+1), cells 4MN — so the append stream below never
-	// reallocates.
-	a.trips = make([]linalg.Coord, 0, 12*c.M*c.N-3*c.M-3*c.N)
-	// The pattern (triplet coordinates, cell slot map) depends only on the
-	// crossbar shape; every value — wire, sense, and calibrated cell
-	// conductances plus the source RHS — is filled by stampValues, the same
-	// code path a cached assembly restamps through, so reuse across solves
-	// is bit-neutral by construction.
-	// Row wires: source -> (m,0) -> (m,1) -> ... -> (m,N-1)
-	for m := 0; m < c.M; m++ {
-		first := c.rowNode(m, 0)
-		a.trips = append(a.trips, linalg.Coord{Row: first, Col: first})
-		for n := 0; n+1 < c.N; n++ {
-			i, j := c.rowNode(m, n), c.rowNode(m, n+1)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-		}
-	}
-	// Column wires: (0,n) -> (1,n) -> ... -> (M-1,n) -> RSense -> ground
-	for n := 0; n < c.N; n++ {
-		for m := 0; m+1 < c.M; m++ {
-			i, j := c.colNode(m, n), c.colNode(m+1, n)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-		}
-		last := c.colNode(c.M-1, n)
-		a.trips = append(a.trips, linalg.Coord{Row: last, Col: last})
-	}
-	// Memristor cells.
-	a.memIdx = make([][4]int, c.M*c.N)
-	for m := 0; m < c.M; m++ {
-		for n := 0; n < c.N; n++ {
-			i, j := c.rowNode(m, n), c.colNode(m, n)
-			base := len(a.trips)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-			a.memIdx[m*c.N+n] = [4]int{base, base + 1, base + 2, base + 3}
-		}
-	}
+	a := &assembly{op: newStencil(c.M, c.N), rhsBase: make([]float64, n2), rhsFull: make([]float64, n2)}
 	c.stampValues(a, vin, ops)
-	mat, err := linalg.NewCSR(n2, a.trips)
-	if err != nil {
-		return nil, err
-	}
-	a.mat = mat
-	// Modeled pattern-build cost: the triplet stream scanned twice by the
-	// counting-sort CSR build and the CSR arrays written once (stampValues
-	// charged the value fill).
-	ops.CountBytes(2*coordBytes*int64(len(a.trips)) + 16*int64(len(mat.Vals)))
-	return a, nil
+	return a
 }
 
-// stampValues (re)writes every triplet value and the source right-hand side
-// from the current crossbar parameters and drive vector: wire and sense
-// conductances, calibrated cell conductances, and the source currents. Both
-// a fresh assembly and a SolverState-cached one fill values here, so the
-// matrix a solve starts from is bit-identical either way.
+// stampValues (re)writes every value of the system from the current
+// crossbar parameters and drive vector: wire and sense conductances,
+// calibrated cell conductances, the diagonal, and the source currents.
+// Both a fresh assembly and a SolverState-cached one fill values here, so
+// the matrix a solve starts from is bit-identical either way.
 //
-// Runs once per Newton iteration over every triplet: hot path, must not
-// allocate (all buffers live in the assembly).
+// Runs once per solve over every node: hot path, must not allocate (all
+// buffers live in the assembly).
 //
 //lint:hotpath
 func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) {
-	gw := c.wireG()
-	a.srcG = gw
+	s := a.op
+	s.gw = c.wireG()
+	s.gs = 1 / c.RSense
 	for i := range a.rhsBase {
 		a.rhsBase[i] = 0
 	}
-	k := 0
 	for m := 0; m < c.M; m++ {
-		a.rhsBase[c.rowNode(m, 0)] += gw * vin[m]
-		a.trips[k].Val = gw
-		k++
-		for n := 0; n+1 < c.N; n++ {
-			a.trips[k].Val = gw
-			a.trips[k+1].Val = gw
-			a.trips[k+2].Val = -gw
-			a.trips[k+3].Val = -gw
-			k += 4
-		}
-	}
-	gs := 1 / c.RSense
-	for n := 0; n < c.N; n++ {
-		for m := 0; m+1 < c.M; m++ {
-			a.trips[k].Val = gw
-			a.trips[k+1].Val = gw
-			a.trips[k+2].Val = -gw
-			a.trips[k+3].Val = -gw
-			k += 4
-		}
-		a.trips[k].Val = gs
-		k++
+		a.rhsBase[c.rowNode(m, 0)] += s.gw * vin[m]
 	}
 	// Cells start from the calibrated linear conductance.
 	for m := 0; m < c.M; m++ {
 		for n := 0; n < c.N; n++ {
-			g := 1 / c.R[m][n]
-			idx := a.memIdx[m*c.N+n]
-			a.trips[idx[0]].Val = g
-			a.trips[idx[1]].Val = g
-			a.trips[idx[2]].Val = -g
-			a.trips[idx[3]].Val = -g
+			s.g[m*c.N+n] = 1 / c.R[m][n]
 		}
 	}
-	// Modeled stamping cost: one conductance inversion per cell, the
-	// triplet values written once, the RHS written once.
+	s.setDiag(0, 0)
+	// Modeled stamping cost: one conductance inversion per cell; the cell
+	// conductances, the diagonal and the RHS written once.
 	ops.CountFlops(int64(c.M) * int64(c.N))
-	ops.CountBytes(coordBytes*int64(len(a.trips)) + 16*int64(len(a.rhsBase)))
-}
-
-// precondBlocks describes the crossbar's wire chains as preconditioner
-// blocks: M contiguous row chains (stride 1) and N strided column chains
-// (stride N), each tridiagonal in its local index — the structure the
-// block-Jacobi preconditioner factors with bandwidth-1 banded Cholesky.
-func (c *Crossbar) precondBlocks() []linalg.Block {
-	blocks := make([]linalg.Block, 0, c.M+c.N)
-	for m := 0; m < c.M; m++ {
-		blocks = append(blocks, linalg.Block{Start: m * c.N, Stride: 1, Len: c.N})
-	}
-	for n := 0; n < c.N; n++ {
-		blocks = append(blocks, linalg.Block{Start: c.M*c.N + n, Stride: c.N, Len: c.M})
-	}
-	return blocks
+	ops.CountBytes(8*int64(len(s.g)) + 16*int64(len(a.rhsBase)))
 }
 
 // restamp rewrites the memristor companion-model conductances for the
-// current voltage estimate and returns the full right-hand side (source
-// terms plus Newton equivalent current sources).
+// current voltage estimate, reassembles the diagonal, and returns the full
+// right-hand side (source terms plus Newton equivalent current sources).
 func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []float64 {
 	// The returned slice aliases a.rhsFull and is valid until the next
 	// restamp through this assembly; the inner solve consumes it within the
 	// same Newton iteration. The copy from rhsBase fully overwrites it, so
 	// reuse is bit-identical to a fresh allocation.
-	if cap(a.rhsFull) < len(a.rhsBase) {
-		a.rhsFull = make([]float64, len(a.rhsBase))
-	}
-	rhs := a.rhsFull[:len(a.rhsBase)]
+	rhs := a.rhsFull
 	copy(rhs, a.rhsBase)
 	for m := 0; m < c.M; m++ {
 		for n := 0; n < c.N; n++ {
 			i, j := c.rowNode(m, n), c.colNode(m, n)
 			vd := v[i] - v[j]
-			g := c.Dev.Conductance(vd, c.R[m][n])
-			ieq := c.Dev.Current(vd, c.R[m][n]) - g*vd
-			idx := a.memIdx[m*c.N+n]
-			a.trips[idx[0]].Val = g
-			a.trips[idx[1]].Val = g
-			a.trips[idx[2]].Val = -g
-			a.trips[idx[3]].Val = -g
+			cur, g := c.Dev.CurrentAndConductance(vd, c.R[m][n])
+			ieq := cur - g*vd
+			a.op.g[m*c.N+n] = g
 			rhs[i] -= ieq
 			rhs[j] += ieq
 		}
 	}
+	a.op.setDiag(0, 0)
 	// Modeled stamping cost: per cell, two transcendental device
-	// evaluations plus five arithmetic ops; traffic is the four triplet
-	// writes, two node-voltage reads, and two RHS updates, plus the RHS
-	// base copy.
+	// evaluations plus five arithmetic ops; traffic is the conductance
+	// write, two node-voltage reads, and two RHS updates, plus the RHS
+	// base copy and the diagonal rewrite.
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells * (2*deviceEvalFlops + 5))
-	ops.CountBytes(cells*(4*coordBytes+48) + 16*int64(len(rhs)))
+	ops.CountBytes(cells*56 + 24*int64(len(rhs)))
 	return rhs
 }
 
 // Preconditioner kinds SolveOptions.Precond accepts.
 const (
-	// PrecondBlockJacobi factors each wire-chain block (row chains and
-	// column chains, tridiagonal in their local index) with banded
+	// PrecondBlockJacobi factors each wire chain (row chains and column
+	// chains, tridiagonal in their local index) with a tridiagonal
 	// Cholesky — the structure-aware default.
 	PrecondBlockJacobi = "block-jacobi"
 	// PrecondJacobi is the legacy diagonal preconditioner.
@@ -445,8 +339,8 @@ type SolveOptions struct {
 	// replay runs the path the original solve ran.
 	Precond string `json:"precond,omitempty"`
 	// State, when non-nil, carries reusable solver structures across
-	// repeated solves of same-shaped crossbars: the assembled sparsity
-	// pattern, the block preconditioner, the previous operating point
+	// repeated solves of same-shaped crossbars: the stencil buffers, the
+	// block preconditioner, the previous operating point
 	// (warm start), and a memo that answers bit-identical re-solves
 	// without running the solver. A state must be used from one strictly
 	// sequential solve stream; see SolverState.
@@ -609,20 +503,12 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	startPhase("assemble")
 	var a *assembly
 	if st != nil && st.asm != nil && st.asmM == c.M && st.asmN == c.N {
-		// Reuse the cached sparsity pattern: re-stamp values and refresh
-		// the CSR via UpdateValues, whose per-slot summation order matches
-		// NewCSR's, so the matrix is bit-identical to a fresh assembly.
+		// Reuse the cached buffers: re-stamping writes every value, so the
+		// system is bit-identical to a fresh assembly.
 		a = st.asm
 		c.stampValues(a, vin, &cost.Assembly)
-		if err := a.mat.UpdateValues(a.trips); err != nil {
-			return nil, err
-		}
-		cost.Assembly.CountBytes(16*int64(len(a.trips)) + 8*int64(len(a.mat.Vals)))
 	} else {
-		a, err = c.assemble(vin, &cost.Assembly)
-		if err != nil {
-			return nil, err
-		}
+		a = c.assemble(vin, &cost.Assembly)
 		if st != nil {
 			st.asm, st.asmM, st.asmN = a, c.M, c.N
 			st.pre = nil
@@ -638,15 +524,15 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	// vector crosses solves), then frozen across Newton iterations
 	// (modified Newton) and refreshed only when CG effort regresses.
 	var pre linalg.Preconditioner
-	var bj *linalg.BlockJacobi
+	var bj *chainPrecond
 	if opt.Precond == PrecondBlockJacobi {
 		if st != nil && st.pre != nil {
 			bj = st.pre
-			if err := bj.Refresh(a.mat, &cost.Precond); err != nil {
+			if err := bj.refresh(a.op, &cost.Precond); err != nil {
 				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
 			}
 		} else {
-			bj, err = linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, &cost.Precond)
+			bj, err = newChainPrecond(a.op, &cost.Precond)
 			if err != nil {
 				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
 			}
@@ -657,6 +543,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		pre = bj
 	}
 	res = &Result{}
+	work := st.cgWork()
 	n2 := 2 * c.M * c.N
 	// baseline is the inner CG iteration count of the first solve after
 	// the last (re)factorization — the refresh policy's reference point.
@@ -679,7 +566,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		}
 		// Initial linear solve at calibrated resistances.
 		var it int
-		v, it, err = linalg.SolveCG(a.mat, a.rhsBase, x0, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: st.cgWork()})
+		v, it, err = linalg.SolveCG(a.op, a.rhsBase, x0, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: work})
 		if err != nil {
 			return nil, fmt.Errorf("circuit: linear solve: %w", err)
 		}
@@ -698,14 +585,10 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 				return nil, fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 			}
 			rhs := c.restamp(a, v, &cost.NewtonUpdate)
-			if err := a.mat.UpdateValues(a.trips); err != nil {
-				return nil, err
-			}
-			cost.NewtonUpdate.CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
 			if bj != nil && needRefresh {
 				// The frozen factorization fell behind the Newton stamps;
 				// refactor against the current matrix and re-baseline.
-				if err := bj.Refresh(a.mat, &cost.Precond); err != nil {
+				if err := bj.refresh(a.op, &cost.Precond); err != nil {
 					return nil, fmt.Errorf("circuit: preconditioner refresh: %w", err)
 				}
 				diag.PrecondRefreshes++
@@ -713,7 +596,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 				baseline = -1
 				needRefresh = false
 			}
-			vNew, it, err := linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: st.cgWork()})
+			vNew, it, err := linalg.SolveCG(a.op, rhs, v, linalg.CGOptions{Tol: opt.CGTol, Ops: &cost.CGLoop, Precond: pre, Work: work})
 			if err != nil {
 				return nil, fmt.Errorf("circuit: Newton linear solve: %w", err)
 			}
@@ -750,7 +633,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			}
 			if iter == opt.MaxNewton-1 {
 				telDiverged.Inc()
-				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
+				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
 				diag.analyze()
 				derr := &DivergenceError{Iters: opt.MaxNewton, FinalResidual: delta, Diag: diag}
 				telemetry.Log().Warn("newton iteration diverged",
@@ -772,7 +655,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	// deferred End covers the error returns above).
 	phaseSpan.End()
 	if opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
+		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
 	}
 	diag.analyze()
 	res.Diag = diag

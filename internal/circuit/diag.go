@@ -99,11 +99,11 @@ type Diagnostics struct {
 // Counting is deterministic and purely observational, so cost fields
 // round-trip bit-identically through journals, snapshots, and mnsim-replay.
 type CostModel struct {
-	// Assembly is the cost of building the MNA triplets and the CSR
-	// sparsity pattern (once per solve).
+	// Assembly is the cost of stamping the stencil operator and the
+	// source right-hand side (once per solve).
 	Assembly linalg.OpCount `json:"assembly"`
 	// NewtonUpdate is the per-iteration nonlinear work: device-model
-	// re-stamping, CSR value refresh, and the ΔV convergence scan. On the
+	// re-stamping, the diagonal rewrite, and the ΔV convergence scan. On the
 	// zero-wire path it is empty — the bisection loop is the inner solver
 	// there and lands in CGLoop.
 	NewtonUpdate linalg.OpCount `json:"newton_update"`
@@ -111,9 +111,9 @@ type CostModel struct {
 	// setup solve and the Newton steps (or the per-column bisection loop
 	// on the zero-wire path). Preconditioner applies inside CG land here.
 	CGLoop linalg.OpCount `json:"cg_loop"`
-	// Precond is the preconditioner setup cost: block gathering and the
-	// banded Cholesky factorization of every wire-chain block, initially
-	// and on each modified-Newton refresh. Applies are charged to CGLoop,
+	// Precond is the preconditioner setup cost: the tridiagonal Cholesky
+	// factorization of every wire chain, initially and on each
+	// modified-Newton refresh. Applies are charged to CGLoop,
 	// where they happen.
 	Precond linalg.OpCount `json:"precond"`
 	// Diagnostics is the cost of optional numerical diagnostics — the

@@ -1,9 +1,9 @@
 // SolverState: reusable solver structures for repeated solves of the same
 // crossbar — the warm-start half of the fast solver core. A state carries
-// the assembled sparsity pattern, the factored block preconditioner, the
+// the stencil operator's buffers, the factored block preconditioner, the
 // last converged operating point, and a memo of the last solve, so a DSE
 // candidate evaluation, a Monte-Carlo trial sequence, or a settling run
-// pays assembly and pattern analysis once instead of per solve and starts
+// allocates its system once instead of per solve and starts
 // Newton from where the previous solve ended.
 package circuit
 
@@ -28,13 +28,13 @@ import (
 // fresh state is bit-identical to a solve with a nil one, and re-solving
 // bit-identical inputs returns the memoized result bit-identically.
 type SolverState struct {
-	// Cached assembly (sparsity pattern + triplet buffer), valid for any
-	// crossbar of the same shape; values are re-stamped every solve.
+	// Cached assembly (stencil and RHS buffers), valid for any crossbar of
+	// the same shape; values are re-stamped every solve.
 	asm        *assembly
 	asmM, asmN int
-	// Cached block preconditioner, tied to asm's sparsity pattern and
-	// refactored from the current matrix values at every solve.
-	pre *linalg.BlockJacobi
+	// Cached block preconditioner, sized for asm's shape and refactored
+	// from the current matrix values at every solve.
+	pre *chainPrecond
 	// v is the operating point of the last converged solve — the warm
 	// start of the next one. vM/vN record the crossbar shape it came from:
 	// a vector from a different topology is never reused even when the
@@ -91,11 +91,11 @@ func (s *SolverState) WarmV() []float64 {
 	return append([]float64(nil), s.v...)
 }
 
-// cgWork returns the state's reusable CG scratch; nil for a nil state, so
-// stateless solves keep their historical per-call allocations.
+// cgWork returns the state's reusable CG scratch, or for a nil state a
+// fresh one that the solve's own CG calls share.
 func (s *SolverState) cgWork() *linalg.CGWork {
 	if s == nil {
-		return nil
+		return new(linalg.CGWork)
 	}
 	return &s.work
 }

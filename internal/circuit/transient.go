@@ -75,48 +75,33 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	}
 	lin := *c
 	lin.Linear = true
-	a, err := lin.assemble(vin, nil)
-	if err != nil {
-		return 0, err
-	}
-	// The conductance matrix shares the crossbar's wire-chain structure, so
-	// the block preconditioner serves both the DC target solve and — after
-	// a refresh against the capacitance-augmented matrix, which only adds
-	// to the same diagonal — every backward-Euler step.
-	pre, err := linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, nil)
+	a := lin.assemble(vin, nil)
+	// The chain preconditioner serves both the DC target solve and — after
+	// a refresh against the capacitance-shifted diagonal — every
+	// backward-Euler step.
+	pre, err := newChainPrecond(a.op, nil)
 	if err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	// DC target for the settling criterion.
-	final, _, err := linalg.SolveCG(a.mat, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
+	final, _, err := linalg.SolveCG(a.op, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
 	if err != nil {
 		return 0, fmt.Errorf("circuit: DC solve: %w", err)
 	}
-	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. Build G + C/dt by
-	// adding C/dt to every diagonal of the stamped pattern.
+	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. G + C/dt is the
+	// same stencil with C/dt added to every diagonal; the cell capacitance
+	// sits on the column nodes.
 	n2 := 2 * c.M * c.N
 	half := c.M * c.N // column nodes start here
-	caps := make([]float64, n2)
-	for i := 0; i < n2; i++ {
-		caps[i] = opt.NodeCap
-		if i >= half {
-			caps[i] += opt.CellCap
-		}
-	}
-	trips := make([]linalg.Coord, len(a.trips), len(a.trips)+n2)
-	copy(trips, a.trips)
-	for i := 0; i < n2; i++ {
-		trips = append(trips, linalg.Coord{Row: i, Col: i, Val: caps[i] / opt.Dt})
-	}
-	mat, err := linalg.NewCSR(n2, trips)
-	if err != nil {
-		return 0, err
-	}
+	rowShift := opt.NodeCap / opt.Dt
+	colShift := (opt.NodeCap + opt.CellCap) / opt.Dt
+	a.op.setDiag(rowShift, colShift)
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
-	if err := pre.Refresh(mat, nil); err != nil {
+	if err := pre.refresh(a.op, nil); err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
+	var work linalg.CGWork
 	v := make([]float64, n2) // discharged start
 	rhs := make([]float64, n2)
 	// settled also reports the worst remaining output deviation in volts,
@@ -141,10 +126,15 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	}
 	for step := 1; step <= opt.MaxSteps; step++ {
 		copy(rhs, a.rhsBase)
-		for i := 0; i < n2; i++ {
-			rhs[i] += caps[i] / opt.Dt * v[i]
+		for i := 0; i < half; i++ {
+			rhs[i] += rowShift * v[i]
 		}
-		v, _, err = linalg.SolveCG(mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre})
+		for i := half; i < n2; i++ {
+			rhs[i] += colShift * v[i]
+		}
+		// The solution aliases work storage and stays valid for one more
+		// call — exactly until it has served as the next step's x0.
+		v, _, err = linalg.SolveCG(a.op, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: &work})
 		if err != nil {
 			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}

@@ -230,6 +230,16 @@ func (m Model) Conductance(v, rState float64) float64 {
 	return a / m.NonlinearVc * math.Cosh(v/m.NonlinearVc)
 }
 
+// CurrentAndConductance returns Current(v, rState) and
+// Conductance(v, rState) bit-for-bit, sharing the sinh prefactor and v/Vc
+// between them: three transcendental calls instead of four. The circuit
+// solver's Newton update evaluates both for every cell at every iteration.
+func (m Model) CurrentAndConductance(v, rState float64) (i, g float64) {
+	a := m.ReadVoltage / (rState * math.Sinh(m.ReadVoltage/m.NonlinearVc))
+	x := v / m.NonlinearVc
+	return a * math.Sinh(x), a / m.NonlinearVc * math.Cosh(x)
+}
+
 // EffectiveR returns the secant (large-signal) resistance V/I(V) of a cell
 // programmed to rState when operated at voltage v. At v = ReadVoltage it
 // equals rState exactly; at lower operating voltages the sinh law makes the

@@ -255,3 +255,27 @@ func TestEnergies(t *testing.T) {
 		t.Errorf("WriteEnergy %v should exceed a 10ns ReadEnergy %v (high-writing-cost problem)", e, m.ReadEnergy(10e-9))
 	}
 }
+
+// TestCurrentAndConductanceBitIdentical: the fused evaluation must return
+// exactly what Current and Conductance return, across zero, tiny, the
+// calibration point, and both of math.Sinh's branch points (|x| > 0.5 and
+// |x| > 21, x = v/Vc).
+func TestCurrentAndConductanceBitIdentical(t *testing.T) {
+	for _, m := range []Model{RRAM(), PCM()} {
+		vc := m.NonlinearVc
+		vs := []float64{0, 1e-12, m.ReadVoltage, 0.4 * vc, 0.6 * vc, 5 * vc, 22 * vc, 30 * vc}
+		for _, r := range []float64{m.RMin, m.HarmonicMeanR(), m.RMax} {
+			for _, v := range vs {
+				for _, sv := range []float64{v, -v} {
+					i, g := m.CurrentAndConductance(sv, r)
+					if wi := m.Current(sv, r); math.Float64bits(i) != math.Float64bits(wi) {
+						t.Errorf("%s r=%g v=%g: current %v, Current %v", m.Name, r, sv, i, wi)
+					}
+					if wg := m.Conductance(sv, r); math.Float64bits(g) != math.Float64bits(wg) {
+						t.Errorf("%s r=%g v=%g: conductance %v, Conductance %v", m.Name, r, sv, g, wg)
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,9 +14,11 @@ package linalg
 //
 // The accounting contract, which the analytic tests assert against:
 //
-//   - CountSpMV(nnz, n): one CSR matrix-vector product. 2·nnz flops
-//     (multiply-add per stored element); 24·nnz bytes (value, column index,
-//     gathered x element) plus 16·n bytes (row pointer, y store).
+//   - CountSpMV(nnz, n): one sparse matrix-vector product (Operator.MulVec).
+//     2·nnz flops (multiply-add per stored element); 24·nnz bytes (value,
+//     column index, gathered x element) plus 16·n bytes (row pointer, y
+//     store) — CSR traffic, charged whatever the operator's storage so
+//     counts stay comparable across operators.
 //   - CountDot(n): one inner product. 2·n flops, 16·n bytes.
 //   - CountNorm(n): one Euclidean norm — a self inner product (counted in
 //     Dots) plus the square root. 2·n+1 flops, 8·n bytes.
@@ -76,7 +78,7 @@ func (o *OpCount) Add(other *OpCount) {
 	o.PrecondApplies += other.PrecondApplies
 }
 
-// CountSpMV records one CSR sparse matrix-vector product with nnz stored
+// CountSpMV records one sparse matrix-vector product with nnz stored
 // elements over an n-vector.
 func (o *OpCount) CountSpMV(nnz, n int) {
 	if o == nil {
@@ -138,7 +140,7 @@ func (o *OpCount) CountFlops(n int64) {
 }
 
 // CountBytes records raw memory traffic with no arithmetic — copies, the
-// CSR diagonal scan, triplet assembly.
+// diagonal scan, stamping.
 func (o *OpCount) CountBytes(n int64) {
 	if o == nil {
 		return

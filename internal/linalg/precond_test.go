@@ -6,177 +6,69 @@ import (
 	"testing"
 )
 
-// chainTrips stamps a local tridiagonal chain (diag 4, off-diagonal −1)
-// onto the global indices of a block.
-func chainTrips(b Block) []Coord {
+// chainTrips stamps the tridiagonal chain tridiag(−1, 4, −1) of length n.
+func chainTrips(n int) []Coord {
 	var trips []Coord
-	for k := 0; k < b.Len; k++ {
-		i := b.Start + k*b.Stride
+	for i := 0; i < n; i++ {
 		trips = append(trips, Coord{i, i, 4})
-		if k > 0 {
-			j := b.Start + (k-1)*b.Stride
-			trips = append(trips, Coord{i, j, -1}, Coord{j, i, -1})
+		if i > 0 {
+			trips = append(trips, Coord{i, i - 1, -1}, Coord{i - 1, i, -1})
 		}
 	}
 	return trips
 }
 
-// TestBlockJacobiExactOnBlockDiagonal: when the matrix IS block diagonal
-// over the given blocks, Apply must be an exact solve — including for a
-// strided (interleaved) block layout like the crossbar's column chains.
-func TestBlockJacobiExactOnBlockDiagonal(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 2, Len: 3}, {Start: 1, Stride: 2, Len: 3}}
-	var trips []Coord
-	for _, b := range blocks {
-		trips = append(trips, chainTrips(b)...)
-	}
-	a, err := NewCSR(6, trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind() != "block-jacobi" {
-		t.Fatalf("Kind = %q", p.Kind())
-	}
-	r := []float64{1, -2, 3, 0.5, -1, 2}
-	z := make([]float64, 6)
-	p.Apply(r, z, nil)
-	// Residual of the exact solve must vanish.
-	az := a.MulVec(z, nil)
-	for i := range az {
-		if math.Abs(az[i]-r[i]) > 1e-12 {
-			t.Fatalf("A·z ≠ r at %d: %v vs %v", i, az[i], r[i])
-		}
-	}
+// triChol is an exact tridiagonal Cholesky preconditioner for a CSR chain,
+// charging the band accounting a structure-aware preconditioner charges.
+type triChol struct {
+	sub, rd []float64 // L sub-diagonal and reciprocal pivots
 }
 
-// TestBlockJacobiRefresh: after the matrix values change, Refresh must track
-// them without rebuilding the pattern mapping.
-func TestBlockJacobiRefresh(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 4}}
-	trips := chainTrips(blocks[0])
-	a, err := NewCSR(4, trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strengthen the diagonal and refresh.
-	for i := range trips {
-		if trips[i].Row == trips[i].Col {
-			trips[i].Val = 10
+func newTriChol(a *CSR, ops *OpCount) (*triChol, error) {
+	n := a.N
+	p := &triChol{sub: make([]float64, n), rd: make([]float64, n)}
+	ops.CountBandFactor(n, 1)
+	prev := 0.0
+	for i := 0; i < n; i++ {
+		s := a.at(i, i)
+		if i > 0 {
+			p.sub[i] = a.at(i, i-1) / prev
+			s -= p.sub[i] * p.sub[i]
 		}
-	}
-	if err := a.UpdateValues(trips); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Refresh(a, nil); err != nil {
-		t.Fatal(err)
-	}
-	r := []float64{1, 2, 3, 4}
-	z := make([]float64, 4)
-	p.Apply(r, z, nil)
-	az := a.MulVec(z, nil)
-	for i := range az {
-		if math.Abs(az[i]-r[i]) > 1e-12 {
-			t.Fatalf("refreshed A·z ≠ r at %d: %v vs %v", i, az[i], r[i])
+		if !(s > 0) {
+			return nil, ErrNotSPD
 		}
+		prev = math.Sqrt(s)
+		p.rd[i] = 1 / prev
 	}
+	return p, nil
 }
 
-// TestBlockJacobiValidation: blocks must partition the index set exactly.
-func TestBlockJacobiValidation(t *testing.T) {
-	a, err := NewCSR(4, chainTrips(Block{Start: 0, Stride: 1, Len: 4}))
-	if err != nil {
-		t.Fatal(err)
+func (p *triChol) Apply(r, z []float64, ops *OpCount) {
+	n := len(r)
+	ops.CountBandSolve(n, 1)
+	z[0] = r[0] * p.rd[0]
+	for i := 1; i < n; i++ {
+		z[i] = (r[i] - p.sub[i]*z[i-1]) * p.rd[i]
 	}
-	cases := []struct {
-		name   string
-		blocks []Block
-	}{
-		{"overlap", []Block{{0, 1, 3}, {2, 1, 2}}},
-		{"gap", []Block{{0, 1, 2}, {3, 1, 1}}},
-		{"out of range", []Block{{0, 1, 5}}},
-		{"zero len", []Block{{0, 1, 0}, {0, 1, 4}}},
+	z[n-1] *= p.rd[n-1]
+	for i := n - 2; i >= 0; i-- {
+		z[i] = (z[i] - p.sub[i+1]*z[i+1]) * p.rd[i]
 	}
-	for _, tc := range cases {
-		if _, err := NewBlockJacobi(a, tc.blocks, 1, nil); err == nil {
-			t.Errorf("%s: expected error", tc.name)
-		}
-	}
+	ops.CountPrecondApply()
 }
 
-// TestBlockJacobiCutsIterations: on a crossbar-like matrix — strong
-// tridiagonal chains weakly coupled to each other — block-Jacobi CG must
-// converge in far fewer iterations than diagonal Jacobi.
-func TestBlockJacobiCutsIterations(t *testing.T) {
-	const chains, length = 8, 8
-	n := chains * length
-	blocks := make([]Block, chains)
-	var trips []Coord
-	for c := 0; c < chains; c++ {
-		blocks[c] = Block{Start: c * length, Stride: 1, Len: length}
-		for k := 0; k < length; k++ {
-			i := c*length + k
-			trips = append(trips, Coord{i, i, 0.8}) // wire-scale diagonal
-			if k > 0 {
-				trips = append(trips, Coord{i, i - 1, -0.4}, Coord{i - 1, i, -0.4})
-			}
-			// Weak cell coupling to the matching node of the next chain.
-			if c+1 < chains {
-				j := (c+1)*length + k
-				g := 1e-5
-				trips = append(trips,
-					Coord{i, j, -g}, Coord{j, i, -g},
-					Coord{i, i, g}, Coord{j, j, g})
-			}
-		}
-	}
-	a, err := NewCSR(n, trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Sin(float64(i + 1))
-	}
-	xj, itJac, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xb, itBlk, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-10, Precond: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xb {
-		if math.Abs(xb[i]-xj[i]) > 1e-7*(1+math.Abs(xj[i])) {
-			t.Fatalf("solutions disagree at %d: %v vs %v", i, xb[i], xj[i])
-		}
-	}
-	if itBlk*3 > itJac {
-		t.Fatalf("block-jacobi took %d iters, jacobi %d — expected ≥3× reduction", itBlk, itJac)
-	}
-}
+func (p *triChol) Kind() string { return "tridiag" }
 
 // TestSolveCGPrecondAccounting: a custom preconditioner must land its
 // factorizations and applies in the op counters.
 func TestSolveCGPrecondAccounting(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 6}}
-	a, err := NewCSR(6, chainTrips(blocks[0]))
+	a, err := NewCSR(6, chainTrips(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ops OpCount
-	p, err := NewBlockJacobi(a, blocks, 1, &ops)
+	p, err := newTriChol(a, &ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +92,7 @@ func TestSolveCGPrecondAccounting(t *testing.T) {
 // TestSolveCGZeroRHSWithWarmStart: b = 0 has the unique solution x = 0; a
 // non-nil x0 must not be echoed back (the pre-fix behaviour).
 func TestSolveCGZeroRHSWithWarmStart(t *testing.T) {
-	a, err := NewCSR(3, chainTrips(Block{Start: 0, Stride: 1, Len: 3}))
+	a, err := NewCSR(3, chainTrips(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +148,7 @@ func TestSolveCGBreakdownOnIndefinite(t *testing.T) {
 // must reach the same answer as a cold start, in no more iterations, and an
 // already-converged x0 must be returned bit-unchanged in zero iterations.
 func TestSolveCGWarmStartPerturbed(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 32}}
-	trips := chainTrips(blocks[0])
+	trips := chainTrips(32)
 	a, err := NewCSR(32, trips)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +168,7 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 			trips[i].Val = 4.01
 		}
 	}
-	if err := a.UpdateValues(trips); err != nil {
+	if a, err = NewCSR(32, trips); err != nil {
 		t.Fatal(err)
 	}
 	xCold2, itCold2, err := SolveCG(a, b, nil, opt)

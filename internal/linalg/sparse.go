@@ -27,20 +27,36 @@ type Coord struct {
 	Val      float64
 }
 
-// CSR is a compressed-sparse-row matrix. Build one from triplets with
-// NewCSR; the circuit solver re-stamps values each Newton iteration via
-// UpdateValues without re-deriving the sparsity pattern.
-type CSR struct {
-	N       int // square dimension
-	RowPtr  []int
-	ColIdx  []int
-	Vals    []float64
-	permMap []int // triplet index -> position in Vals (for UpdateValues)
+// Operator is the square linear operator SolveCG, the condition
+// estimators, and the Jacobi fallback work against: a dimension, a
+// matrix-vector product, the stored-element count the cost model charges
+// per product, and the diagonal. *CSR implements it for generic matrices;
+// structured callers (the crossbar stencil) implement it without index
+// arrays.
+type Operator interface {
+	// Dim returns the square dimension.
+	Dim() int
+	// MulVec computes y = A·x, reusing y when it has length Dim.
+	MulVec(x, y []float64) []float64
+	// NNZ is the stored-element count CountSpMV charges per product.
+	NNZ() int
+	// Diagonal returns the matrix diagonal (zero where absent). Callers
+	// must treat the slice as read-only.
+	Diagonal() []float64
 }
 
-// NewCSR assembles an n×n CSR matrix from triplets, summing duplicates.
-// The mapping from each input triplet to its merged slot is retained so the
-// same triplet slice (with updated Vals) can refresh the matrix in place.
+var _ Operator = (*CSR)(nil)
+
+// CSR is a compressed-sparse-row matrix, built from triplets with NewCSR.
+type CSR struct {
+	N      int // square dimension
+	RowPtr []int
+	ColIdx []int
+	Vals   []float64
+}
+
+// NewCSR assembles an n×n CSR matrix from triplets, summing duplicates in
+// input order.
 func NewCSR(n int, trips []Coord) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("linalg: invalid CSR dimension %d", n)
@@ -78,7 +94,7 @@ func NewCSR(n int, trips []Coord) (*CSR, error) {
 			}
 		}
 	}
-	m := &CSR{N: n, RowPtr: make([]int, n+1), permMap: make([]int, len(trips))}
+	m := &CSR{N: n, RowPtr: make([]int, n+1)}
 	// len(trips) bounds the merged slot count, so the append streams below
 	// never reallocate.
 	m.ColIdx = make([]int, 0, len(trips))
@@ -94,9 +110,7 @@ func NewCSR(n int, trips []Coord) (*CSR, error) {
 			}
 			prevRow, prevCol = t.Row, t.Col
 		}
-		slot := len(m.Vals) - 1
-		m.Vals[slot] += t.Val
-		m.permMap[idx] = slot
+		m.Vals[len(m.Vals)-1] += t.Val
 	}
 	for r := prevRow + 1; r <= n; r++ {
 		m.RowPtr[r] = len(m.Vals)
@@ -104,21 +118,11 @@ func NewCSR(n int, trips []Coord) (*CSR, error) {
 	return m, nil
 }
 
-// UpdateValues re-stamps the matrix from a triplet slice with the same
-// sparsity pattern (same rows/cols in the same order) as the one passed to
-// NewCSR. Only the values are read.
-func (m *CSR) UpdateValues(trips []Coord) error {
-	if len(trips) != len(m.permMap) {
-		return fmt.Errorf("linalg: UpdateValues got %d triplets, pattern has %d", len(trips), len(m.permMap))
-	}
-	for i := range m.Vals {
-		m.Vals[i] = 0
-	}
-	for i, t := range trips {
-		m.Vals[m.permMap[i]] += t.Val
-	}
-	return nil
-}
+// Dim returns the square dimension.
+func (m *CSR) Dim() int { return m.N }
+
+// NNZ returns the number of stored elements.
+func (m *CSR) NNZ() int { return len(m.Vals) }
 
 // MulVec computes y = M·x, reusing y if it has the right length.
 func (m *CSR) MulVec(x, y []float64) []float64 {
@@ -183,8 +187,8 @@ type CGOptions struct {
 	// MaxIter bounds iterations; default 10·N.
 	MaxIter int
 	// Precond supplies the preconditioner; nil selects the classic Jacobi
-	// (diagonal) fallback built from the matrix. Structure-aware callers
-	// (the crossbar solver) pass a BlockJacobi over their wire chains.
+	// (diagonal) fallback built from the operator's diagonal.
+	// Structure-aware callers (the crossbar solver) pass their own.
 	Precond Preconditioner
 	// Ops, when non-nil, accumulates the solve's operation counts. The
 	// accounting is exact and purely observational: enabling it never
@@ -249,7 +253,7 @@ func growVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// SolveCG solves A·x = b for a symmetric positive-definite CSR matrix with
+// SolveCG solves A·x = b for a symmetric positive-definite operator with
 // preconditioned conjugate gradients (CGOptions.Precond; Jacobi fallback).
 // Resistor-network conductance matrices are SPD and strongly diagonally
 // dominant, so CG converges in far fewer iterations than N. x0 may be nil;
@@ -264,8 +268,8 @@ func growVec(buf []float64, n int) []float64 {
 // breakdown error construction.
 //
 //lint:hotpath
-func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
-	n := a.N
+func SolveCG(a Operator, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
+	n := a.Dim()
 	if len(b) != n {
 		//lint:ignore noalloc error-path fmt args box once per misuse, never in the solve loop
 		return nil, 0, fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
@@ -277,7 +281,7 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 		opt.MaxIter = 10 * n
 	}
 	ops := opt.Ops
-	nnz := len(a.Vals)
+	nnz := a.NNZ()
 	// With scratch the vectors come pre-sized from the work pool (x zeroed);
 	// without it each is allocated at its historical site below, so cold
 	// early-exit paths stay as cheap as they always were.

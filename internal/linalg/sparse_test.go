@@ -61,26 +61,6 @@ func TestCSREmptyRow(t *testing.T) {
 	}
 }
 
-func TestCSRUpdateValues(t *testing.T) {
-	trips := []Coord{{0, 0, 1}, {0, 0, 1}, {1, 1, 2}}
-	m, err := NewCSR(2, trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trips[0].Val = 5
-	trips[1].Val = 5
-	trips[2].Val = 7
-	if err := m.UpdateValues(trips); err != nil {
-		t.Fatal(err)
-	}
-	if m.at(0, 0) != 10 || m.at(1, 1) != 7 {
-		t.Fatalf("after update: (0,0)=%v (1,1)=%v", m.at(0, 0), m.at(1, 1))
-	}
-	if err := m.UpdateValues(trips[:1]); err == nil {
-		t.Fatal("pattern mismatch should fail")
-	}
-}
-
 func TestDiagonal(t *testing.T) {
 	m, err := NewCSR(3, []Coord{{0, 0, 4}, {1, 2, 9}, {2, 2, 6}})
 	if err != nil {

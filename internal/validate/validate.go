@@ -215,6 +215,9 @@ type SpeedRow struct {
 	CircuitIters int
 }
 
+// table3Reps is how many back-to-back runs TableIII times per side.
+const table3Reps = 5
+
 // TableIII runs the speed comparison for the given sizes (paper: 16–256).
 // It is TableIIIContext with a background context.
 func TableIII(sizes []int, seed int64) ([]SpeedRow, error) {
@@ -243,24 +246,38 @@ func TableIIIContext(ctx context.Context, sizes []int, seed int64) ([]SpeedRow, 
 		// allowed to read the wall clock — so the numerical packages stay
 		// clock-free and the per-size timings still land in the trace
 		// aggregates (validate.table3.circuit / validate.table3.model).
-		cctx, circuitSpan := telemetry.StartSpan(ctx, "validate.table3.circuit")
-		res, err := c.SolveContext(cctx, vin, circuit.SolveOptions{})
-		circuitTime := circuitSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("validate: size %d: %w", size, err)
+		// Each side is the minimum over table3Reps back-to-back runs: a
+		// single cold call mostly measures first-call costs, which on the
+		// microsecond-scale model side decide the ratio.
+		var res *circuit.Result
+		var circuitTime, modelTime time.Duration
+		for rep := 0; rep < table3Reps; rep++ {
+			cctx, circuitSpan := telemetry.StartSpan(ctx, "validate.table3.circuit")
+			r, err := c.SolveContext(cctx, vin, circuit.SolveOptions{})
+			d := circuitSpan.End()
+			if err != nil {
+				return nil, fmt.Errorf("validate: size %d: %w", size, err)
+			}
+			res = r
+			if rep == 0 || d < circuitTime {
+				circuitTime = d
+			}
 		}
-
-		_, modelSpan := telemetry.StartSpan(ctx, "validate.table3.model")
-		// The behaviour-level "simulation" of the same crossbar: area,
-		// power, latency, and the accuracy estimate.
-		_ = p.Area()
-		_ = p.ComputePower()
-		_ = p.Latency()
-		if _, err := accuracy.Eval(p); err != nil {
-			modelSpan.End()
-			return nil, err
+		for rep := 0; rep < table3Reps; rep++ {
+			_, modelSpan := telemetry.StartSpan(ctx, "validate.table3.model")
+			// The behaviour-level "simulation" of the same crossbar: area,
+			// power, latency, and the accuracy estimate.
+			_ = p.Area()
+			_ = p.ComputePower()
+			_ = p.Latency()
+			if _, err := accuracy.Eval(p); err != nil {
+				modelSpan.End()
+				return nil, err
+			}
+			if d := modelSpan.End(); rep == 0 || d < modelTime {
+				modelTime = d
+			}
 		}
-		modelTime := modelSpan.End()
 		if modelTime <= 0 {
 			modelTime = time.Nanosecond
 		}
