@@ -348,6 +348,36 @@ func TestChainPrecondRefreshInPlace(t *testing.T) {
 	}
 }
 
+// TestChainPrecondRefreshExact: refresh after the wire conductances and
+// the diagonal shift change leaves the preconditioner an exact solve of the
+// new cell-free matrix, not of the one it was built from.
+func TestChainPrecondRefreshExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := randomStencil(4, 3, 0.4, 1e-3, 1, 1, rng)
+	for i := range s.g {
+		s.g[i] = 0
+	}
+	s.setDiag(0, 0)
+	p, err := newChainPrecond(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.gw *= 7
+	s.setDiag(10, 2)
+	if err := p.refresh(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	r := randomVec(s.Dim(), rng)
+	z := make([]float64, s.Dim())
+	p.Apply(r, z, nil)
+	az := s.MulVec(z, nil)
+	for i := range az {
+		if math.Abs(az[i]-r[i]) > 1e-12*(1+math.Abs(r[i])) {
+			t.Fatalf("refreshed A·z ≠ r at %d: %v vs %v", i, az[i], r[i])
+		}
+	}
+}
+
 // TestChainPrecondCutsIterations: on a crossbar — strong wire chains
 // weakly coupled through the cells — block-Jacobi CG converges in far
 // fewer iterations than diagonal Jacobi, to the same answer.
