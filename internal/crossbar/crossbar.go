@@ -153,7 +153,8 @@ func (p Params) WorstRParallel() float64 {
 // IdealMVM computes the interconnect-free analog matrix–vector product of
 // Eq. 1–2: out_n = Σ_m g[m][n]·vin[m] / (g_s + Σ_m g[m][n]), where g holds
 // cell conductances in siemens. It is the fixed-point "ideal result" that
-// the accuracy model measures deviations against.
+// the accuracy model measures deviations against. It compiles g with
+// NewMVM and applies it once; callers reusing one g compile it themselves.
 func (p Params) IdealMVM(g [][]float64, vin []float64) ([]float64, error) {
 	if len(g) != p.Rows {
 		return nil, fmt.Errorf("crossbar: conductance matrix has %d rows, want %d", len(g), p.Rows)
@@ -161,20 +162,84 @@ func (p Params) IdealMVM(g [][]float64, vin []float64) ([]float64, error) {
 	if len(vin) != p.Rows {
 		return nil, fmt.Errorf("crossbar: input length %d, want %d", len(vin), p.Rows)
 	}
-	gs := 1 / p.RSense
+	k, err := p.NewMVM(g)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, p.Cols)
-	for n := 0; n < p.Cols; n++ {
-		num, den := 0.0, gs
-		for m := 0; m < p.Rows; m++ {
-			if len(g[m]) != p.Cols {
-				return nil, fmt.Errorf("crossbar: conductance row %d has %d cols, want %d", m, len(g[m]), p.Cols)
-			}
-			num += g[m][n] * vin[m]
-			den += g[m][n]
-		}
-		out[n] = num / den
+	if err := k.Apply(out, vin); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// MVM is the ideal analog MVM of Eq. 1–2 compiled for one conductance
+// matrix: the conductances row-major and each column's denominator
+// g_s + Σ_m g[m][n], summed in row order. Everything that does not depend
+// on the input vector is done once, so applying it to many inputs costs
+// one multiply-accumulate per cell.
+type MVM struct {
+	rows, cols int
+	// g holds g[m][n] at m*cols+n.
+	g []float64
+	// den holds each column's g_s + Σ_m g[m][n].
+	den []float64
+}
+
+// NewMVM compiles a Rows×Cols conductance matrix (siemens) for repeated
+// application. The matrix is copied; later changes to g do not reach the
+// compiled operator.
+func (p Params) NewMVM(g [][]float64) (*MVM, error) {
+	if len(g) != p.Rows {
+		return nil, fmt.Errorf("crossbar: conductance matrix has %d rows, want %d", len(g), p.Rows)
+	}
+	k := &MVM{rows: p.Rows, cols: p.Cols, g: make([]float64, p.Rows*p.Cols), den: make([]float64, p.Cols)}
+	gs := 1 / p.RSense
+	for n := range k.den {
+		k.den[n] = gs
+	}
+	for m, row := range g {
+		if len(row) != p.Cols {
+			return nil, fmt.Errorf("crossbar: conductance row %d has %d cols, want %d", m, len(row), p.Cols)
+		}
+		copy(k.g[m*p.Cols:], row)
+		for n, gv := range row {
+			k.den[n] += gv
+		}
+	}
+	return k, nil
+}
+
+// Apply writes the MVM of vin (length Rows) into out (length Cols). The
+// rows are accumulated outermost, but each column still sums its products
+// in row order from zero, so the result is bit-identical to a column-outer
+// loop.
+//
+//lint:hotpath
+func (k *MVM) Apply(out, vin []float64) error {
+	if len(vin) != k.rows {
+		//lint:ignore noalloc error-path fmt args box once per misuse, never per apply
+		return fmt.Errorf("crossbar: input length %d, want %d", len(vin), k.rows)
+	}
+	if len(out) != k.cols {
+		//lint:ignore noalloc error-path fmt args box once per misuse, never per apply
+		return fmt.Errorf("crossbar: output length %d, want %d", len(out), k.cols)
+	}
+	for n := range out {
+		out[n] = 0
+	}
+	for m, x := range vin {
+		row := k.g[m*k.cols : (m+1)*k.cols]
+		out := out[:len(row)]
+		for n, gv := range row {
+			out[n] += gv * x
+		}
+	}
+	den := k.den[:len(out)]
+	for n := range out {
+		out[n] /= den[n]
+	}
+	return nil
 }
 
 // MapWeights quantizes a non-negative weight matrix (values in [0,1]) onto

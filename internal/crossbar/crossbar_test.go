@@ -2,6 +2,7 @@ package crossbar
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,95 @@ func TestIdealMVMShapeErrors(t *testing.T) {
 	}
 	if _, err := p.IdealMVM([][]float64{{1}, {1, 1}}, []float64{1, 1}); err == nil {
 		t.Error("ragged matrix should fail")
+	}
+}
+
+// refIdealMVM is the column-outer form of Eq. 1–2: each column sums its
+// numerator and denominator over the rows in order. The compiled operator
+// must reproduce it bit for bit.
+func refIdealMVM(gs float64, g [][]float64, vin []float64, cols int) []float64 {
+	out := make([]float64, cols)
+	for n := range out {
+		num, den := 0.0, gs
+		for m := range g {
+			num += g[m][n] * vin[m]
+			den += g[m][n]
+		}
+		out[n] = num / den
+	}
+	return out
+}
+
+// The compiled MVM, applied repeatedly, and IdealMVM equal the column-outer
+// sums bit for bit. Conductances and inputs span several decades, so any
+// change of summation order shows in the low bits.
+func TestMVMMatchesColumnOuterSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		p := refParams(1+rng.Intn(150), 1+rng.Intn(40))
+		g := make([][]float64, p.Rows)
+		for m := range g {
+			g[m] = make([]float64, p.Cols)
+			for n := range g[m] {
+				g[m][n] = math.Pow(10, -3-3*rng.Float64())
+			}
+		}
+		k, err := p.NewMVM(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, p.Cols)
+		for rep := 0; rep < 3; rep++ {
+			vin := make([]float64, p.Rows)
+			for m := range vin {
+				vin[m] = rng.Float64() * math.Pow(10, -2*rng.Float64())
+			}
+			want := refIdealMVM(1/p.RSense, g, vin, p.Cols)
+			if err := k.Apply(out, vin); err != nil {
+				t.Fatal(err)
+			}
+			ideal, err := p.IdealMVM(g, vin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := range want {
+				if math.Float64bits(out[n]) != math.Float64bits(want[n]) || math.Float64bits(ideal[n]) != math.Float64bits(want[n]) {
+					t.Fatalf("trial %d rep %d col %d: Apply %v, IdealMVM %v, column-outer %v", trial, rep, n, out[n], ideal[n], want[n])
+				}
+			}
+		}
+	}
+}
+
+// The compiled operator owns a copy of g and rejects mis-sized vectors.
+func TestMVMCopiesAndChecksShapes(t *testing.T) {
+	p := refParams(2, 2)
+	g := [][]float64{{1e-5, 2e-5}, {3e-5, 4e-5}}
+	k, err := p.NewMVM(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vin := []float64{0.1, 0.2}
+	before := make([]float64, 2)
+	if err := k.Apply(before, vin); err != nil {
+		t.Fatal(err)
+	}
+	g[0][0] = 1
+	after := make([]float64, 2)
+	if err := k.Apply(after, vin); err != nil {
+		t.Fatal(err)
+	}
+	if after[0] != before[0] {
+		t.Errorf("changing g after NewMVM moved the output: %v -> %v", before[0], after[0])
+	}
+	if err := k.Apply(after, []float64{1}); err == nil {
+		t.Error("short input accepted")
+	}
+	if err := k.Apply(make([]float64, 3), vin); err == nil {
+		t.Error("long output accepted")
+	}
+	if _, err := p.NewMVM([][]float64{{1}, {1, 1}}); err == nil {
+		t.Error("ragged matrix accepted")
 	}
 }
 

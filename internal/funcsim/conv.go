@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mnsim/internal/mapper"
@@ -21,12 +22,23 @@ type ConvOptions struct {
 // bank (Section II.B.3), the mapper programs it onto crossbar blocks, and
 // every output position's Im2Col patch drives one analog pass — the
 // stream the Fig. 1(f) line buffers feed in hardware. Inputs must lie in
-// [0,1]; outputs are in the layer's normalised signed scale.
+// [0,1] (a non-finite input is an error naming its index in in.Data);
+// outputs are in the layer's normalised signed scale.
 func (m *Machine) RunConv(in *nn.Tensor3, kernels *nn.ConvKernels, opt ConvOptions) (*nn.Tensor3, error) {
 	if opt.InjectError && opt.Rng == nil {
 		return nil, fmt.Errorf("funcsim: error injection needs an RNG")
 	}
+	for i, x := range in.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("funcsim: conv layer: non-finite input %v at index %d", x, i)
+		}
+	}
 	img, err := mapper.Map(m.Design, kernels.Matrix())
+	if err != nil {
+		return nil, err
+	}
+	// The kernel image is compiled once and drives every output patch.
+	ci, err := m.exec.compile(img)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +47,8 @@ func (m *Machine) RunConv(in *nn.Tensor3, kernels *nn.ConvKernels, opt ConvOptio
 		stride = 1
 	}
 	runOpt := RunOptions{InjectError: opt.InjectError, Rng: opt.Rng}
+	sc := m.exec.scratch()
 	return nn.ConvByMVM(in, kernels, stride, pad, func(_ [][]float64, patch []float64) ([]float64, error) {
-		return runImage(m.Design, img, patch, runOpt)
+		return m.exec.run(ci, patch, sc, runOpt)
 	})
 }

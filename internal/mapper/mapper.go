@@ -93,58 +93,88 @@ func Map(d *arch.Design, weights [][]float64) (*Image, error) {
 	if logicalCols < 1 {
 		return nil, fmt.Errorf("mapper: crossbar size %d cannot hold one %d-bit weight", s, d.WeightBits)
 	}
+	prog, err := newProgrammer(d)
+	if err != nil {
+		return nil, err
+	}
 	img := &Image{Design: d, Rows: rows, Cols: cols, Scale: maxMag}
 	rowBlocks := (rows + s - 1) / s
 	colBlocks := (cols + logicalCols - 1) / logicalCols
+	img.Blocks = make([]Block, 0, rowBlocks*colBlocks)
 	for rb := 0; rb < rowBlocks; rb++ {
 		for cb := 0; cb < colBlocks; cb++ {
-			blk, err := mapBlock(d, weights, maxMag, rb, cb, s, logicalCols, rows, cols)
-			if err != nil {
-				return nil, err
-			}
-			img.Blocks = append(img.Blocks, *blk)
+			img.Blocks = append(img.Blocks, prog.mapBlock(weights, maxMag, rb, cb, s, logicalCols, rows, cols))
 		}
 	}
 	return img, nil
 }
 
-// mapBlock builds one unit's image.
-func mapBlock(d *arch.Design, weights [][]float64, scale float64, rb, cb, s, logicalCols, rows, cols int) (*Block, error) {
-	r0 := rb * s
-	c0 := cb * logicalCols
-	blockRows := minInt(s, rows-r0)
-	blockCols := minInt(logicalCols, cols-c0)
-	nXbar := d.CrossbarsPerUnit()
-	blk := &Block{RowBlock: rb, ColBlock: cb, Rows: blockRows, LogicalCols: blockCols}
-	blk.Cells = make([][][]CellAssignment, nXbar)
-	physCols := blockCols * d.CellsPerWeight()
-	for x := range blk.Cells {
-		blk.Cells[x] = make([][]CellAssignment, blockRows)
-		for r := range blk.Cells[x] {
-			blk.Cells[x][r] = make([]CellAssignment, physCols)
-		}
-	}
-	slices := d.BitSlices()
-	cellBits := d.Dev.LevelBits
-	for r := 0; r < blockRows; r++ {
-		for c := 0; c < blockCols; c++ {
-			w := weights[r0+r][c0+c] / scale
-			pos, neg := w, 0.0
-			if w < 0 {
-				pos, neg = 0, -w
-			}
-			if err := programWeight(d, blk, r, c, pos, neg, slices, cellBits); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return blk, nil
+// programmer holds everything about programming one weight that depends
+// only on the design, computed once per Map: the cell assignment of every
+// (slice, cell code) pair, so programming a weight is pure table lookups.
+type programmer struct {
+	// maxCode is the largest magnitude code of a weight.
+	maxCode int
+	// slices and cellBits give the bit-slicing of a code; cellMask
+	// extracts one slice.
+	slices, cellBits, cellMask int
+	// nXbar and paired select the signed mapping: two crossbars (method
+	// 1), or positive and negative parts on adjacent column groups of one
+	// crossbar (method 2, paired). cellsPerWeight is the physical columns
+	// one logical weight takes.
+	nXbar, cellsPerWeight int
+	paired                bool
+	// cells[sl][cellCode] is the assignment of cell code cellCode on
+	// slice sl (0 = most significant). Each slice's code range is set by
+	// the magnitude bits it actually carries (the top slice may be
+	// partial), and that range is stretched over the device's full level
+	// range.
+	cells [][]CellAssignment
 }
 
-// programWeight writes one logical weight's cells. The magnitude is first
-// quantized to WeightBits, then split into big-endian slices of cellBits
-// each.
-func programWeight(d *arch.Design, blk *Block, r, c int, pos, neg float64, slices, cellBits int) error {
+// newProgrammer builds the design's programming tables. LevelResistance
+// runs once per device level, so a level it rejects fails Map as it
+// would when programmed.
+func newProgrammer(d *arch.Design) (*programmer, error) {
+	magBits := magnitudeBits(d)
+	slices := d.BitSlices()
+	cellBits := d.Dev.LevelBits
+	levels := d.Dev.Levels()
+	res := make([]float64, levels)
+	for lvl := range res {
+		r, err := d.Dev.LevelResistance(lvl)
+		if err != nil {
+			return nil, err
+		}
+		res[lvl] = r
+	}
+	p := &programmer{
+		maxCode:        (1 << uint(magBits)) - 1,
+		slices:         slices,
+		cellBits:       cellBits,
+		cellMask:       (1 << uint(cellBits)) - 1,
+		nXbar:          d.CrossbarsPerUnit(),
+		cellsPerWeight: d.CellsPerWeight(),
+		paired:         d.WeightPolarity == 2 && !d.TwoCrossbarSigned,
+		cells:          make([][]CellAssignment, slices),
+	}
+	for sl := range p.cells {
+		// A slice carries codes up to its sliceMax: the shift above it
+		// leaves no higher bits.
+		from := sliceMax(magBits, slices, cellBits, sl)
+		tab := make([]CellAssignment, from+1)
+		for code := range tab {
+			lvl := scaleLevel(code, from, levels-1)
+			tab[code] = CellAssignment{Level: lvl, Resistance: res[lvl]}
+		}
+		p.cells[sl] = tab
+	}
+	return p, nil
+}
+
+// magnitudeBits returns the bits a weight's magnitude is quantized to: all
+// of WeightBits, less the sign bit under signed polarity (at least one).
+func magnitudeBits(d *arch.Design) int {
 	magBits := d.WeightBits
 	if d.WeightPolarity == 2 {
 		magBits-- // one bit is the sign
@@ -152,41 +182,69 @@ func programWeight(d *arch.Design, blk *Block, r, c int, pos, neg float64, slice
 			magBits = 1
 		}
 	}
-	maxCode := (1 << uint(magBits)) - 1
-	codePos := int(math.Round(pos * float64(maxCode)))
-	codeNeg := int(math.Round(neg * float64(maxCode)))
-	write := func(xbar, physCol, code int) error {
-		// Split code into `slices` groups of cellBits, most significant
-		// slice first. A slice's code range is set by the magnitude bits it
-		// actually carries (the top slice may be partial), and that range
-		// is stretched over the device's full level range.
-		for sl := 0; sl < slices; sl++ {
-			shift := uint((slices - 1 - sl) * cellBits)
-			cellCode := (code >> shift) & ((1 << uint(cellBits)) - 1)
-			lvl := scaleLevel(cellCode, sliceMax(magBits, slices, cellBits, sl), d.Dev.Levels()-1)
-			res, err := d.Dev.LevelResistance(lvl)
-			if err != nil {
-				return err
-			}
-			blk.Cells[xbar][r][physCol+sl] = CellAssignment{Level: lvl, Resistance: res}
+	return magBits
+}
+
+// mapBlock builds one unit's image. Each crossbar's rows are slices of one
+// backing array.
+func (p *programmer) mapBlock(weights [][]float64, scale float64, rb, cb, s, logicalCols, rows, cols int) Block {
+	r0 := rb * s
+	c0 := cb * logicalCols
+	blockRows := minInt(s, rows-r0)
+	blockCols := minInt(logicalCols, cols-c0)
+	blk := Block{RowBlock: rb, ColBlock: cb, Rows: blockRows, LogicalCols: blockCols}
+	blk.Cells = make([][][]CellAssignment, p.nXbar)
+	physCols := blockCols * p.cellsPerWeight
+	for x := range blk.Cells {
+		back := make([]CellAssignment, blockRows*physCols)
+		blk.Cells[x] = make([][]CellAssignment, blockRows)
+		for r := range blk.Cells[x] {
+			blk.Cells[x][r] = back[r*physCols : (r+1)*physCols : (r+1)*physCols]
 		}
-		return nil
 	}
+	for r := 0; r < blockRows; r++ {
+		for c := 0; c < blockCols; c++ {
+			w := weights[r0+r][c0+c] / scale
+			pos, neg := w, 0.0
+			if w < 0 {
+				pos, neg = 0, -w
+			}
+			p.programWeight(&blk, r, c, pos, neg)
+		}
+	}
+	return blk
+}
+
+// programWeight writes one logical weight's cells. The magnitude is first
+// quantized to the magnitude bits, then split into big-endian slices of
+// cellBits each.
+//
+//lint:hotpath
+func (p *programmer) programWeight(blk *Block, r, c int, pos, neg float64) {
+	codePos := int(math.Round(pos * float64(p.maxCode)))
+	codeNeg := int(math.Round(neg * float64(p.maxCode)))
 	switch {
-	case d.WeightPolarity == 1:
-		return write(0, c*slices, codePos)
-	case d.TwoCrossbarSigned:
-		// Method (1): crossbar 0 holds positive parts, crossbar 1 negative.
-		if err := write(0, c*slices, codePos); err != nil {
-			return err
-		}
-		return write(1, c*slices, codeNeg)
-	default:
+	case p.paired:
 		// Method (2): paired columns in the same crossbar.
-		if err := write(0, c*2*slices, codePos); err != nil {
-			return err
-		}
-		return write(0, c*2*slices+slices, codeNeg)
+		row := blk.Cells[0][r]
+		p.write(row, c*2*p.slices, codePos)
+		p.write(row, c*2*p.slices+p.slices, codeNeg)
+	case p.nXbar == 2:
+		// Method (1): crossbar 0 holds positive parts, crossbar 1 negative.
+		p.write(blk.Cells[0][r], c*p.slices, codePos)
+		p.write(blk.Cells[1][r], c*p.slices, codeNeg)
+	default:
+		// Polarity 1: the weights are non-negative.
+		p.write(blk.Cells[0][r], c*p.slices, codePos)
+	}
+}
+
+// write programs one code's slices into row, starting at physCol, most
+// significant slice first.
+func (p *programmer) write(row []CellAssignment, physCol, code int) {
+	for sl, tab := range p.cells {
+		shift := uint((p.slices - 1 - sl) * p.cellBits)
+		row[physCol+sl] = tab[(code>>shift)&p.cellMask]
 	}
 }
 
@@ -228,13 +286,7 @@ func (img *Image) Reconstruct() ([][]float64, error) {
 	logicalCols := s / d.CellsPerWeight()
 	slices := d.BitSlices()
 	cellBits := d.Dev.LevelBits
-	magBits := d.WeightBits
-	if d.WeightPolarity == 2 {
-		magBits--
-		if magBits < 1 {
-			magBits = 1
-		}
-	}
+	magBits := magnitudeBits(d)
 	maxCode := (1 << uint(magBits)) - 1
 	read := func(blk *Block, xbar, r, physCol int) (int, error) {
 		code := 0

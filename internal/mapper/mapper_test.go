@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -296,5 +297,181 @@ func TestCellCountFormula(t *testing.T) {
 		if got := img.CellCount(); got != want {
 			t.Fatalf("trial %d: CellCount %d vs formula %d", trial, got, want)
 		}
+	}
+}
+
+// refMap is the per-cell mapping path Map used before its programming
+// tables: for every cell it slices the code, rescales the slice to a level
+// with scaleLevel and asks the device for that level's resistance. It is
+// kept as the reference the table-driven Map must match exactly.
+func refMap(d *arch.Design, weights [][]float64, scale float64) ([]Block, error) {
+	rows, cols := len(weights), len(weights[0])
+	s := d.CrossbarSize
+	logicalCols := s / d.CellsPerWeight()
+	var blocks []Block
+	for rb := 0; rb < (rows+s-1)/s; rb++ {
+		for cb := 0; cb < (cols+logicalCols-1)/logicalCols; cb++ {
+			r0, c0 := rb*s, cb*logicalCols
+			blk := Block{RowBlock: rb, ColBlock: cb, Rows: minInt(s, rows-r0), LogicalCols: minInt(logicalCols, cols-c0)}
+			blk.Cells = make([][][]CellAssignment, d.CrossbarsPerUnit())
+			for x := range blk.Cells {
+				blk.Cells[x] = make([][]CellAssignment, blk.Rows)
+				for r := range blk.Cells[x] {
+					blk.Cells[x][r] = make([]CellAssignment, blk.LogicalCols*d.CellsPerWeight())
+				}
+			}
+			for r := 0; r < blk.Rows; r++ {
+				for c := 0; c < blk.LogicalCols; c++ {
+					w := weights[r0+r][c0+c] / scale
+					pos, neg := w, 0.0
+					if w < 0 {
+						pos, neg = 0, -w
+					}
+					if err := refProgramWeight(d, &blk, r, c, pos, neg, d.BitSlices(), d.Dev.LevelBits); err != nil {
+						return nil, err
+					}
+				}
+			}
+			blocks = append(blocks, blk)
+		}
+	}
+	return blocks, nil
+}
+
+// refProgramWeight is the closure-per-weight programming path refMap
+// builds on.
+func refProgramWeight(d *arch.Design, blk *Block, r, c int, pos, neg float64, slices, cellBits int) error {
+	magBits := d.WeightBits
+	if d.WeightPolarity == 2 {
+		magBits--
+		if magBits < 1 {
+			magBits = 1
+		}
+	}
+	maxCode := (1 << uint(magBits)) - 1
+	codePos := int(math.Round(pos * float64(maxCode)))
+	codeNeg := int(math.Round(neg * float64(maxCode)))
+	write := func(xbar, physCol, code int) error {
+		for sl := 0; sl < slices; sl++ {
+			shift := uint((slices - 1 - sl) * cellBits)
+			cellCode := (code >> shift) & ((1 << uint(cellBits)) - 1)
+			lvl := scaleLevel(cellCode, sliceMax(magBits, slices, cellBits, sl), d.Dev.Levels()-1)
+			res, err := d.Dev.LevelResistance(lvl)
+			if err != nil {
+				return err
+			}
+			blk.Cells[xbar][r][physCol+sl] = CellAssignment{Level: lvl, Resistance: res}
+		}
+		return nil
+	}
+	switch {
+	case d.WeightPolarity == 1:
+		return write(0, c*slices, codePos)
+	case d.TwoCrossbarSigned:
+		if err := write(0, c*slices, codePos); err != nil {
+			return err
+		}
+		return write(1, c*slices, codeNeg)
+	default:
+		if err := write(0, c*2*slices, codePos); err != nil {
+			return err
+		}
+		return write(0, c*2*slices+slices, codeNeg)
+	}
+}
+
+// The table-driven Map must program exactly the cells the per-cell path
+// does — same level, same resistance bits — for every signed mapping,
+// cell precision, partial top slice and shape.
+func TestMapMatchesPerCellReference(t *testing.T) {
+	type mapCase struct {
+		name               string
+		polarity           int
+		twoXbar            bool
+		levelBits, wBits   int
+		size, rows, cols   int
+		nonNegativeWeights bool
+	}
+	cases := []mapCase{
+		{name: "polarity-1", polarity: 1, levelBits: 4, wBits: 4, size: 32, rows: 40, cols: 50, nonNegativeWeights: true},
+		{name: "polarity-1-sliced", polarity: 1, levelBits: 2, wBits: 7, size: 32, rows: 33, cols: 9, nonNegativeWeights: true},
+		{name: "two-crossbar", polarity: 2, twoXbar: true, levelBits: 4, wBits: 4, size: 32, rows: 70, cols: 45},
+		{name: "paired-columns", polarity: 2, levelBits: 4, wBits: 4, size: 32, rows: 70, cols: 45},
+	}
+	// Every cell precision, with weight widths that fill the top slice and
+	// ones that leave it partial (or empty) under both signed mappings.
+	for _, lb := range []int{1, 2, 4, 7} {
+		for _, wb := range []int{2, 4, 5, 6, 8} {
+			for _, two := range []bool{true, false} {
+				cases = append(cases, mapCase{
+					name:     fmt.Sprintf("level%d-weight%d-two%v", lb, wb, two),
+					polarity: 2, twoXbar: two, levelBits: lb, wBits: wb,
+					size: 64, rows: 20, cols: 11,
+				})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 12; i++ {
+		cases = append(cases, mapCase{
+			name:     fmt.Sprintf("random-%d", i),
+			polarity: 2, twoXbar: rng.Intn(2) == 0,
+			levelBits: 1 + rng.Intn(7), wBits: 2 + rng.Intn(7),
+			size: 16 << uint(rng.Intn(3)), rows: 1 + rng.Intn(150), cols: 1 + rng.Intn(150),
+		})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := refDesign(tc.size, tc.twoXbar, tc.wBits)
+			d.WeightPolarity = tc.polarity
+			d.Dev.LevelBits = tc.levelBits
+			if d.CrossbarSize/d.CellsPerWeight() < 1 {
+				t.Skipf("%d-cell weights do not fit a %d crossbar", d.CellsPerWeight(), d.CrossbarSize)
+			}
+			w := randomWeights(tc.rows, tc.cols, rng)
+			if tc.nonNegativeWeights {
+				for _, row := range w {
+					for c := range row {
+						row[c] = math.Abs(row[c])
+					}
+				}
+			}
+			img, err := Map(d, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refMap(d, w, img.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(img.Blocks) != len(want) {
+				t.Fatalf("%d blocks, reference %d", len(img.Blocks), len(want))
+			}
+			for bi := range want {
+				got, ref := &img.Blocks[bi], &want[bi]
+				if got.RowBlock != ref.RowBlock || got.ColBlock != ref.ColBlock || got.Rows != ref.Rows || got.LogicalCols != ref.LogicalCols {
+					t.Fatalf("block %d: shape %+v, reference %+v", bi, *got, *ref)
+				}
+				if len(got.Cells) != len(ref.Cells) {
+					t.Fatalf("block %d: %d crossbars, reference %d", bi, len(got.Cells), len(ref.Cells))
+				}
+				for x := range ref.Cells {
+					if len(got.Cells[x]) != len(ref.Cells[x]) {
+						t.Fatalf("block %d crossbar %d: %d rows, reference %d", bi, x, len(got.Cells[x]), len(ref.Cells[x]))
+					}
+					for r := range ref.Cells[x] {
+						if len(got.Cells[x][r]) != len(ref.Cells[x][r]) {
+							t.Fatalf("block %d crossbar %d row %d: %d cells, reference %d", bi, x, r, len(got.Cells[x][r]), len(ref.Cells[x][r]))
+						}
+						for c, a := range ref.Cells[x][r] {
+							g := got.Cells[x][r][c]
+							if g.Level != a.Level || math.Float64bits(g.Resistance) != math.Float64bits(a.Resistance) {
+								t.Fatalf("block %d crossbar %d cell (%d,%d): %+v, reference %+v", bi, x, r, c, g, a)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -54,6 +54,7 @@ func BenchmarkMapper(b *testing.B) {
 		}
 	}
 	d := largeBankDesign()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mapper.Map(&d, w); err != nil {
@@ -79,6 +80,7 @@ func BenchmarkFuncsimSample(b *testing.B) {
 	for i := range input {
 		input[i] = rng.Float64()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(input, funcsim.RunOptions{}); err != nil {
