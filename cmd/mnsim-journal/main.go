@@ -184,6 +184,10 @@ func summarize(w io.Writer, path string) error {
 		}
 		fmt.Fprintf(w, "Candidates: %s\n", strings.Join(parts, ", "))
 	}
+	if _, roll := resourceRollup(events); roll.Samples > 0 {
+		fmt.Fprintf(w, "Resources: %d samples, peak live heap %s, %d watchdog stalls\n",
+			roll.Samples, telemetry.FormatByteSize(roll.PeakHeapLiveBytes), roll.WatchdogStalls)
+	}
 	return nil
 }
 
@@ -340,102 +344,58 @@ func outliers(w io.Writer, path string) error {
 
 // --- resources --------------------------------------------------------------
 
-// resSample is one resource_sample event flattened for analysis.
-type resSample struct {
-	tns        int64
-	heapLive   uint64
-	heapGoal   uint64
-	allocB     uint64
-	allocO     uint64
-	goroutines int64
-	gcCycles   uint64
-	gcPauseNS  int64
-	gcFrac     float64
-	schedP99US float64
-}
-
-func resourceSamples(events []telemetry.Event) []resSample {
-	var out []resSample
-	u64 := func(d map[string]any, k string) uint64 {
-		f, _ := d[k].(float64)
-		if f < 0 {
-			return 0
-		}
-		return uint64(f)
-	}
+// resourceRollup parses every resource_sample event and folds the samples,
+// plus the watchdog_stall count, with the sampler's own fold — so the
+// result is the resources block the run manifest records.
+func resourceRollup(events []telemetry.Event) ([]telemetry.ResourceSample, telemetry.ResourceRollup) {
+	var samples []telemetry.ResourceSample
+	var roll telemetry.ResourceRollup
 	for _, ev := range events {
-		if ev.Type != telemetry.EvResourceSample {
-			continue
+		if smp, ok := telemetry.ResourceSampleFromEvent(ev); ok {
+			samples = append(samples, smp)
+			roll.Add(smp)
+		} else if ev.Type == telemetry.EvWatchdogStall {
+			roll.WatchdogStalls++
 		}
-		s := resSample{tns: ev.TNS}
-		s.heapLive = u64(ev.Data, "heap_live_bytes")
-		s.heapGoal = u64(ev.Data, "heap_goal_bytes")
-		s.allocB = u64(ev.Data, "total_alloc_bytes")
-		s.allocO = u64(ev.Data, "total_alloc_objects")
-		s.goroutines = int64(u64(ev.Data, "goroutines"))
-		s.gcCycles = u64(ev.Data, "gc_cycles")
-		s.gcPauseNS = int64(u64(ev.Data, "gc_pause_total_ns"))
-		s.gcFrac, _ = ev.Data["gc_cpu_fraction"].(float64)
-		s.schedP99US, _ = ev.Data["sched_latency_p99_us"].(float64)
-		out = append(out, s)
 	}
-	return out
+	return samples, roll
 }
 
-// resources summarizes the resource_sample stream — peaks, run-scoped
-// allocation/GC deltas, pressure and stall counts — then correlates the
-// slowest solves with the runtime state around them: for each of the top-n
-// solves, the peak live heap and the GC cycles retired inside the solve's
-// wall-clock window. A solve that is slow *and* coincides with a heap spike
-// or a GC burst is memory-bound, not math-bound.
+// resources summarizes the resource_sample stream — the manifest's rollup
+// (peaks, run-scoped allocation/GC deltas, stall count) plus the final heap
+// goal and the worst scheduler latency — then correlates the slowest solves
+// with the runtime state around them: for each of the top-n solves, the
+// peak live heap and the GC cycles retired inside the solve's wall-clock
+// window. A solve that is slow *and* coincides with a heap spike or a GC
+// burst is memory-bound, not math-bound.
 func resources(w io.Writer, path string, n int) error {
 	events, err := load(path)
 	if err != nil {
 		return err
 	}
-	samples := resourceSamples(events)
+	samples, roll := resourceRollup(events)
 	if len(samples) == 0 {
 		return fmt.Errorf("%s: no resource_sample events (run with -resource-interval)", path)
 	}
 	first, last := samples[0], samples[len(samples)-1]
-	var peakHeap uint64
-	var maxGoroutines int64
 	var maxSchedP99 float64
 	for _, s := range samples {
-		if s.heapLive > peakHeap {
-			peakHeap = s.heapLive
-		}
-		if s.goroutines > maxGoroutines {
-			maxGoroutines = s.goroutines
-		}
-		if s.schedP99US > maxSchedP99 {
-			maxSchedP99 = s.schedP99US
-		}
+		maxSchedP99 = max(maxSchedP99, s.SchedLatencyP99US)
 	}
-	pressures, stalls := 0, 0
-	for _, ev := range events {
-		switch ev.Type {
-		case telemetry.EvMemPressure:
-			pressures++
-		case telemetry.EvWatchdogStall:
-			stalls++
-		}
-	}
-	spanMS := float64(last.tns-first.tns) / 1e6
 	t := &report.Table{Title: "Resource samples", Headers: []string{"Metric", "Value"}}
-	t.AddRow("Samples", len(samples))
-	t.AddRow("Span", fmt.Sprintf("%.1f ms", spanMS))
-	t.AddRow("Peak live heap", telemetry.FormatByteSize(peakHeap))
-	t.AddRow("Final heap goal", telemetry.FormatByteSize(last.heapGoal))
-	t.AddRow("Max goroutines", maxGoroutines)
+	t.AddRow("Samples", roll.Samples)
+	t.AddRow("Span", fmt.Sprintf("%.1f ms", float64(last.TNS-first.TNS)/1e6))
+	t.AddRow("Peak live heap", fmt.Sprintf("%s (%d bytes)",
+		telemetry.FormatByteSize(roll.PeakHeapLiveBytes), roll.PeakHeapLiveBytes))
+	t.AddRow("Final heap goal", telemetry.FormatByteSize(last.HeapGoalBytes))
+	t.AddRow("Max goroutines", roll.MaxGoroutines)
 	t.AddRow("Allocated", fmt.Sprintf("%s (%d objects)",
-		telemetry.FormatByteSize(last.allocB-first.allocB), last.allocO-first.allocO))
-	t.AddRow("GC cycles", last.gcCycles-first.gcCycles)
-	t.AddRow("GC pause", fmt.Sprintf("%.3f ms", float64(last.gcPauseNS-first.gcPauseNS)/1e6))
-	t.AddRow("GC CPU fraction", fmt.Sprintf("%.4f", last.gcFrac))
+		telemetry.FormatByteSize(roll.TotalAllocBytes), roll.TotalAllocObjects))
+	t.AddRow("GC cycles", roll.GCCycles)
+	t.AddRow("GC pause", fmt.Sprintf("%.3f ms", float64(roll.GCPauseTotalNS)/1e6))
+	t.AddRow("GC CPU fraction (process)", fmt.Sprintf("%.4f", roll.GCCPUFraction))
 	t.AddRow("Max sched p99", fmt.Sprintf("%.1f us", maxSchedP99))
-	t.AddRow("Mem pressure events", pressures)
-	t.AddRow("Watchdog stalls", stalls)
+	t.AddRow("Watchdog stalls", roll.WatchdogStalls)
 	if err := t.Render(w); err != nil {
 		return err
 	}
@@ -464,8 +424,8 @@ func resources(w io.Writer, path string, n int) error {
 		start := end - int64(s.durUS*1e3)
 		// Samples inside the solve window, widened to the bracketing samples
 		// so short solves between two ticks still get runtime context.
-		lo := sort.Search(len(samples), func(i int) bool { return samples[i].tns >= start })
-		hi := sort.Search(len(samples), func(i int) bool { return samples[i].tns > end })
+		lo := sort.Search(len(samples), func(i int) bool { return samples[i].TNS >= start })
+		hi := sort.Search(len(samples), func(i int) bool { return samples[i].TNS > end })
 		if lo > 0 {
 			lo--
 		}
@@ -475,14 +435,10 @@ func resources(w io.Writer, path string, n int) error {
 		var heap uint64
 		var gor int64
 		for _, smp := range samples[lo : hi+1] {
-			if smp.heapLive > heap {
-				heap = smp.heapLive
-			}
-			if smp.goroutines > gor {
-				gor = smp.goroutines
-			}
+			heap = max(heap, smp.HeapLiveBytes)
+			gor = max(gor, smp.Goroutines)
 		}
-		cycles := samples[hi].gcCycles - samples[lo].gcCycles
+		cycles := samples[hi].GCCycles - samples[lo].GCCycles
 		ct.AddRow(s.id, fmt.Sprintf("%.1f", s.durUS), telemetry.FormatByteSize(heap), cycles, gor)
 	}
 	fmt.Fprintln(w)

@@ -97,7 +97,8 @@ func TestSlowest(t *testing.T) {
 
 // writeResourceJournal produces a journal carrying resource_sample events
 // bracketing a journaled solve, plus one mem_pressure event — the shape a
-// run with -resource-interval and -mem-soft-limit leaves behind.
+// run with -resource-interval and the since-retired soft memory watermark
+// left behind.
 func writeResourceJournal(t *testing.T) string {
 	t.Helper()
 	j := telemetry.DefaultJournal()
@@ -136,7 +137,7 @@ func writeResourceJournal(t *testing.T) string {
 		t.Fatal(err)
 	}
 	sample(48<<20, 180<<20, 2500, 7, 9)
-	telemetry.EmitEvent(telemetry.EvMemPressure, "", map[string]any{
+	telemetry.EmitEvent("mem_pressure", "", map[string]any{
 		"heap_live_bytes": uint64(48 << 20),
 		"limit_bytes":     uint64(32 << 20),
 		"heap_profile":    "heap-pressure-1.pprof",
@@ -155,7 +156,7 @@ func TestResources(t *testing.T) {
 		"Peak live heap",
 		"48.0 MiB",                // peak of the two samples
 		"80.0 MiB (1500 objects)", // run-scoped alloc delta
-		"Mem pressure events",
+		"GC CPU fraction (process)",
 		"Slowest 1 solves vs runtime state",
 	} {
 		if !strings.Contains(out, want) {
@@ -166,6 +167,45 @@ func TestResources(t *testing.T) {
 	// and peak heap to the solve.
 	if !strings.Contains(out, "4") {
 		t.Fatalf("correlation table missing GC delta:\n%s", out)
+	}
+}
+
+// A schema-v2 journal written before the soft memory watermark was retired
+// still reads: ReadJournalFile carries its mem_pressure event through
+// untouched, and resources and summarize both succeed on it and report the
+// peak heap of its resource_sample events.
+func TestReadsRetiredMemPressureJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	fixture := `{"seq":1,"t_ns":1000000000,"type":"journal","data":{"pid":4242,"schema_version":2}}
+{"seq":2,"t_ns":1010000000,"type":"resource_sample","data":{"gc_cpu_fraction":0.01,"gc_cycles":3,"gc_pause_total_ns":150000,"goroutines":4,"heap_goal_bytes":20971520,"heap_live_bytes":10485760,"sched_latency_p99_us":120,"total_alloc_bytes":104857600,"total_alloc_objects":1000}}
+{"seq":3,"t_ns":1020000000,"type":"resource_sample","data":{"gc_cpu_fraction":0.02,"gc_cycles":7,"gc_pause_total_ns":350000,"goroutines":9,"heap_goal_bytes":100663296,"heap_live_bytes":50331648,"sched_latency_p99_us":140,"total_alloc_bytes":188743680,"total_alloc_objects":2500}}
+{"seq":4,"t_ns":1020000500,"type":"mem_pressure","data":{"heap_live_bytes":50331648,"heap_profile":"heap-pressure-001.pprof","limit_bytes":33554432}}
+{"seq":5,"t_ns":1030000000,"type":"resource_sample","data":{"gc_cpu_fraction":0.02,"gc_cycles":8,"gc_pause_total_ns":400000,"goroutines":5,"heap_goal_bytes":41943040,"heap_live_bytes":20971520,"sched_latency_p99_us":140,"total_alloc_bytes":209715200,"total_alloc_objects":2800}}
+`
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 5 {
+		t.Fatalf("read %d events, want 5", len(events))
+	}
+	mp := events[3]
+	if mp.Type != "mem_pressure" || mp.Seq != 4 || mp.TNS != 1020000500 ||
+		mp.Data["heap_profile"] != "heap-pressure-001.pprof" ||
+		mp.Data["limit_bytes"] != 33554432.0 || mp.Data["heap_live_bytes"] != 50331648.0 {
+		t.Fatalf("mem_pressure event not carried through untouched: %+v", mp)
+	}
+	// The peak of the fixture's three samples is the middle one, 48 MiB.
+	const peak = "48.0 MiB"
+	if out := runCmd(t, "resources", path); !strings.Contains(out, "Peak live heap") || !strings.Contains(out, peak) {
+		t.Fatalf("resources does not report the %s peak:\n%s", peak, out)
+	}
+	if out := runCmd(t, "summarize", path); !strings.Contains(out, "mem_pressure") ||
+		!strings.Contains(out, "Resources: 3 samples, peak live heap "+peak) {
+		t.Fatalf("summarize does not report the %s peak:\n%s", peak, out)
 	}
 }
 

@@ -111,16 +111,13 @@ func runShow(w io.Writer, path string) error {
 	if r := m.Resources; r != nil {
 		fmt.Fprintln(w)
 		rt := &report.Table{Title: "Resource rollup", Headers: []string{"Field", "Value"}}
-		rt.AddRow("Samples", fmt.Sprintf("%d @ %dms", r.Samples, r.IntervalMS))
+		rt.AddRow("Samples", r.Samples)
 		rt.AddRow("Peak live heap", telemetry.FormatByteSize(r.PeakHeapLiveBytes))
 		rt.AddRow("Max goroutines", r.MaxGoroutines)
 		rt.AddRow("Allocated", fmt.Sprintf("%s (%d objects)",
 			telemetry.FormatByteSize(r.TotalAllocBytes), r.TotalAllocObjects))
-		rt.AddRow("GC", fmt.Sprintf("%d cycles, %.3f ms pause, %.4f CPU fraction",
+		rt.AddRow("GC", fmt.Sprintf("%d cycles, %.3f ms pause, %.4f CPU fraction (process)",
 			r.GCCycles, float64(r.GCPauseTotalNS)/1e6, r.GCCPUFraction))
-		if r.MemPressureEvents > 0 {
-			rt.AddRow("Mem pressure events", r.MemPressureEvents)
-		}
 		if r.WatchdogStalls > 0 {
 			rt.AddRow("Watchdog stalls", r.WatchdogStalls)
 		}

@@ -168,7 +168,6 @@ func TestShowRendersResourceRollup(t *testing.T) {
 	m := sampleManifest()
 	m.Resources = &telemetry.ResourceRollup{
 		Samples:           120,
-		IntervalMS:        1000,
 		PeakHeapLiveBytes: 96 << 20,
 		MaxGoroutines:     17,
 		TotalAllocBytes:   3 << 30,
@@ -176,7 +175,6 @@ func TestShowRendersResourceRollup(t *testing.T) {
 		GCCycles:          58,
 		GCPauseTotalNS:    2_400_000,
 		GCCPUFraction:     0.013,
-		MemPressureEvents: 2,
 		WatchdogStalls:    1,
 	}
 	path := writeManifest(t, dir, "run.json", m)
@@ -187,11 +185,11 @@ func TestShowRendersResourceRollup(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"Resource rollup",
-		"120 @ 1000ms",
+		"120",
 		"96.0 MiB",
 		"3.0 GiB (4200000 objects)",
 		"58 cycles",
-		"Mem pressure events",
+		"0.0130 CPU fraction (process)",
 		"Watchdog stalls",
 	} {
 		if !strings.Contains(out, want) {

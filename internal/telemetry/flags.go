@@ -31,19 +31,12 @@ import (
 //	-progress           print a rate-limited live progress line to stderr
 //	-log-level level    default-logger verbosity (debug|info|warn|error|off)
 //	-resource-interval d  sample runtime/metrics (heap, GC, goroutines,
-//	                    scheduler latency) every d; exports to the registry,
-//	                    the journal (resource_sample events), /resources.json,
-//	                    and manifest rollups
-//	-mem-soft-limit sz  soft memory watermark ("64MiB", "1GB", plain bytes):
-//	                    live heap at or above it journals mem_pressure and
-//	                    captures a heap profile
+//	                    scheduler latency) every d into resource_sample
+//	                    journal events; the manifest's resources block is
+//	                    their rollup, mnsim-journal resources their summary
 //	-stall-timeout d    stall watchdog: no journal/progress activity for d
-//	                    journals watchdog_stall and captures a goroutine
-//	                    profile
-//	-profile-dir dir    continuous profiling: rotating CPU profiles plus
-//	                    periodic heap profiles under dir, recorded as
-//	                    manifest artifacts
-//	-profile-interval d profile rotation cadence (default 30s)
+//	                    journals watchdog_stall and writes a goroutine dump
+//	                    next to the -journal file
 //
 // Wire them with AddFlags before flag.Parse, call StartContext after
 // parsing with the CLI's signal context (cancelling it shuts the servers
@@ -61,10 +54,7 @@ type Flags struct {
 	LogLevel   string
 
 	ResourceInterval time.Duration
-	MemSoftLimit     string
 	StallTimeout     time.Duration
-	ProfileDir       string
-	ProfileInterval  time.Duration
 
 	// Run is the manifest-identity record the CLI fills in after parsing
 	// (SetTool, SetSeed, SetWorkers, SetConfigHash, SetError).
@@ -101,15 +91,9 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.LogLevel, "log-level", "",
 		"structured-log verbosity: debug, info, warn (default), error, off")
 	fs.DurationVar(&f.ResourceInterval, "resource-interval", 0,
-		"sample runtime resources (heap, GC, goroutines, scheduler latency) at this interval; 0 disables unless a watchdog or -profile-dir needs the tick")
-	fs.StringVar(&f.MemSoftLimit, "mem-soft-limit", "",
-		"soft memory watermark (e.g. 64MiB, 1GB): live heap at or above it journals a mem_pressure event and captures a heap profile")
+		"sample runtime resources (heap, GC, goroutines, scheduler latency) at this interval into resource_sample journal events, rolled up into the manifest's resources block; 0 disables unless -stall-timeout needs the tick")
 	fs.DurationVar(&f.StallTimeout, "stall-timeout", 0,
-		"stall watchdog: no journal/progress activity for this long journals a watchdog_stall event and captures a goroutine profile")
-	fs.StringVar(&f.ProfileDir, "profile-dir", "",
-		"continuous profiling: write rotating CPU profiles and periodic heap profiles under this directory, recorded as manifest artifacts")
-	fs.DurationVar(&f.ProfileInterval, "profile-interval", 0,
-		"continuous-profile rotation cadence (default 30s)")
+		"stall watchdog: no journal/progress activity for this long journals a watchdog_stall event and writes a goroutine dump next to the -journal file")
 	return f
 }
 
@@ -164,22 +148,11 @@ func (f *Flags) StartContext(ctx context.Context) error {
 	if f.Progress {
 		f.startProgressPrinter(ctx)
 	}
-	// Resource sampler: any of the resource flags turns it on (the
-	// watchdogs and profiler ride the sampling tick); with none set it
-	// never starts, so an uninstrumented run pays nothing.
-	if f.ResourceInterval > 0 || f.MemSoftLimit != "" || f.StallTimeout > 0 || f.ProfileDir != "" {
-		memLimit, err := ParseByteSize(f.MemSoftLimit)
-		if err != nil {
-			return err
-		}
-		cfg := ResourceConfig{
-			Interval:          f.ResourceInterval,
-			MemSoftLimitBytes: memLimit,
-			StallTimeout:      f.StallTimeout,
-			ProfileDir:        f.ProfileDir,
-			ProfileInterval:   f.ProfileInterval,
-			Journal:           true,
-		}
+	// Resource sampler: either resource flag turns it on (the stall
+	// watchdog rides the sampling tick); with neither set it never starts,
+	// so an uninstrumented run pays nothing.
+	if f.ResourceInterval > 0 || f.StallTimeout > 0 {
+		cfg := ResourceConfig{Interval: f.ResourceInterval, StallTimeout: f.StallTimeout}
 		if f.Run != nil {
 			cfg.Artifact = f.Run.SetArtifact
 		}

@@ -63,18 +63,19 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	}
 }
 
-// The shared flag surface is exactly these twelve flags: timelines come
+// The shared flag surface is exactly these nine flags: timelines come
 // from -journal plus mnsim-journal export, span aggregates from the
-// -run-out manifest, and pprof from -serve.
+// -run-out manifest, resource samples from the journal, and pprof from
+// -serve.
 func TestAddFlagsSurface(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	AddFlags(fs)
 	var got []string
 	fs.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
 	want := []string{
-		"journal", "log-level", "mem-soft-limit", "metrics-out",
-		"profile-dir", "profile-interval", "progress", "resource-interval",
-		"run-out", "serve", "serve-hold", "stall-timeout",
+		"journal", "log-level", "metrics-out", "progress",
+		"resource-interval", "run-out", "serve", "serve-hold",
+		"stall-timeout",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("AddFlags registered %v, want %v", got, want)

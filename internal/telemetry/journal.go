@@ -45,6 +45,9 @@ import (
 //	    unknown event types through untouched and skip them in typed
 //	    processing, never error. Bump the version only when the envelope
 //	    (seq/t_ns/type/id/data) or an existing event's meaning changes.
+//	    "mem_pressure" is no longer emitted (the soft memory watermark
+//	    that produced it is retired); journals that carry it still read,
+//	    and readers pass it through untouched like any unknown type.
 const JournalSchemaVersion = 2
 
 // SchemaVersionError reports a journal written by a newer tool than the
@@ -91,12 +94,8 @@ const (
 	EvResourceSample EventType = "resource_sample"
 	// EvWatchdogStall records a stall-watchdog firing: no journal/progress
 	// activity for the configured window; carries the quiet duration and
-	// the goroutine-profile capture path.
+	// the goroutine-dump path.
 	EvWatchdogStall EventType = "watchdog_stall"
-	// EvMemPressure records a soft-memory-watermark crossing: live heap at
-	// or above -mem-soft-limit; carries the heap size, the limit, and the
-	// heap-profile capture path.
-	EvMemPressure EventType = "mem_pressure"
 )
 
 // Event is one journal record. Data keys are event-type specific; the
@@ -248,7 +247,7 @@ func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
 	// The sampler's own events are excluded — periodic resource samples
 	// would otherwise re-arm the watchdog forever.
 	switch typ {
-	case EvResourceSample, EvWatchdogStall, EvMemPressure:
+	case EvResourceSample, EvWatchdogStall:
 	default:
 		noteActivity()
 	}

@@ -56,7 +56,7 @@ func TestJournalEventTypes(t *testing.T) {
 	j, path := newTestJournal(t, 16)
 	types := []EventType{EvSolveStart, EvNewtonIter, EvSolveEnd,
 		EvTransientSettle, EvCandidateEval, EvMCTrial, EvPhase, EvSpan,
-		EvResourceSample, EvWatchdogStall, EvMemPressure}
+		EvResourceSample, EvWatchdogStall}
 	for i, typ := range types {
 		j.Emit(typ, fmt.Sprintf("id-%d", i), map[string]any{"k": i})
 	}

@@ -2,41 +2,36 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime/metrics"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The resource sampler: a background observer over Go's runtime/metrics
-// that turns the process's physical footprint — heap, GC, goroutines,
-// scheduler latency — into the same surfaces every other telemetry layer
-// uses: registry gauges/counters, journal events, a /resources.json
-// endpoint, and peak/total rollups in the run manifest. Two watchdogs ride
-// on the same tick: a stall watchdog that captures a goroutine profile
-// when no journal/progress activity happens for a configured window, and a
-// soft memory watermark that journals mem_pressure and captures a heap
-// profile when live heap crosses it. Everything here is observational:
-// enabling the sampler never changes a computed float, and a disabled
-// sampler costs nothing on the solve hot path (no goroutine, no atomics
-// beyond the watchdog activity counter the journal already pays for).
+// The resource sampler: a ticker over Go's runtime/metrics that turns the
+// process's physical footprint — heap, GC, goroutines, scheduler latency —
+// into one resource_sample journal event per tick. The journal is the only
+// place a sample goes; every other view derives from it. The sampler folds
+// each event it emits with the same parser (ResourceSampleFromEvent) and
+// fold (ResourceRollup.Add) that mnsim-journal resources runs over a
+// journal file, so the run manifest's resources block is, by construction,
+// what the journal says. The stall watchdog rides on the same tick.
+// Everything here is observational: enabling the sampler never changes a
+// computed float, and a disabled sampler costs nothing on the solve hot
+// path (no goroutine, no atomics beyond the watchdog activity counter the
+// journal already pays for).
 
 // resourceMetricNames are the runtime/metrics series one sample reads, in
 // the order the sampler's metrics.Sample buffer holds them.
 var resourceMetricNames = []string{
 	// Heap in use is /memory/classes/heap/objects (the HeapAlloc
 	// equivalent), not /gc/heap/live: the latter reads zero until the
-	// first GC cycle completes, which would blind the memory watermark for
-	// a run's whole ramp-up.
+	// first GC cycle completes, which would hide a run's whole ramp-up.
 	"/memory/classes/heap/objects:bytes",
 	"/gc/heap/goal:bytes",
 	"/gc/heap/allocs:bytes",
@@ -63,93 +58,120 @@ const (
 	rmSchedLat
 )
 
-// ResourceSample is one sampler observation. Totals (alloc bytes/objects,
-// GC cycles/pause) are process-lifetime cumulative, matching the
-// runtime/metrics semantics; deltas belong to the reader.
+// ResourceSample is one resource_sample event, typed. Totals (alloc
+// bytes/objects, GC cycles/pause) are process-lifetime cumulative, matching
+// the runtime/metrics semantics; deltas belong to the reader.
 type ResourceSample struct {
-	// TNS is the sample wall-clock time in Unix nanoseconds.
-	TNS int64 `json:"t_ns"`
+	// TNS is the event wall-clock time in Unix nanoseconds.
+	TNS int64
 	// HeapLiveBytes is the heap occupied by objects (live plus
 	// dead-not-yet-swept — the runtime's HeapAlloc); HeapGoalBytes is the
 	// pacer's current target.
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	HeapLiveBytes uint64
+	HeapGoalBytes uint64
 	// TotalAllocBytes / TotalAllocObjects are cumulative allocation totals.
-	TotalAllocBytes   uint64 `json:"total_alloc_bytes"`
-	TotalAllocObjects uint64 `json:"total_alloc_objects"`
-	Goroutines        int64  `json:"goroutines"`
-	GCCycles          uint64 `json:"gc_cycles"`
+	TotalAllocBytes   uint64
+	TotalAllocObjects uint64
+	Goroutines        int64
+	GCCycles          uint64
 	// GCPauseTotalNS approximates cumulative stop-the-world pause time from
 	// the runtime's pause histogram (bucket-midpoint sum).
-	GCPauseTotalNS int64 `json:"gc_pause_total_ns"`
+	GCPauseTotalNS int64
 	// GCCPUFraction is the cumulative fraction of available CPU time spent
-	// in the garbage collector.
-	GCCPUFraction float64 `json:"gc_cpu_fraction"`
-	// SchedLatency percentiles (µs) of the goroutine run-queue wait
+	// in the garbage collector since process start.
+	GCCPUFraction float64
+	// SchedLatencyP99US is the p99 (µs) of the goroutine run-queue wait
 	// distribution, cumulative since process start.
-	SchedLatencyP50US float64 `json:"sched_latency_p50_us"`
-	SchedLatencyP99US float64 `json:"sched_latency_p99_us"`
+	SchedLatencyP99US float64
 }
 
-// ResourceRollup is the run-level summary the manifest records: peaks and
-// run-scoped totals (deltas between the first and last sample, so a
+// ResourceSampleFromEvent decodes a resource_sample event; ok is false for
+// any other event type. The sampler emits every number as a float64, the
+// form a journal file decodes to, so ring events and file events parse
+// alike; a missing or negative count reads as zero.
+func ResourceSampleFromEvent(ev Event) (ResourceSample, bool) {
+	if ev.Type != EvResourceSample {
+		return ResourceSample{}, false
+	}
+	f := func(key string) float64 {
+		v, _ := ev.Data[key].(float64)
+		return v
+	}
+	u := func(key string) uint64 { return uint64(math.Max(f(key), 0)) }
+	return ResourceSample{
+		TNS:               ev.TNS,
+		HeapLiveBytes:     u("heap_live_bytes"),
+		HeapGoalBytes:     u("heap_goal_bytes"),
+		TotalAllocBytes:   u("total_alloc_bytes"),
+		TotalAllocObjects: u("total_alloc_objects"),
+		Goroutines:        int64(u("goroutines")),
+		GCCycles:          u("gc_cycles"),
+		GCPauseTotalNS:    int64(u("gc_pause_total_ns")),
+		GCCPUFraction:     f("gc_cpu_fraction"),
+		SchedLatencyP99US: f("sched_latency_p99_us"),
+	}, true
+}
+
+// ResourceRollup is the run-level fold of resource_sample events: peaks,
+// and run-scoped totals (deltas between the first and last sample, so a
 // manifest answers "what did *this run* allocate", not "what has this
 // process ever allocated").
 type ResourceRollup struct {
-	Samples           int64   `json:"samples"`
-	IntervalMS        int64   `json:"interval_ms"`
-	PeakHeapLiveBytes uint64  `json:"peak_heap_live_bytes"`
-	MaxGoroutines     int64   `json:"max_goroutines"`
-	TotalAllocBytes   uint64  `json:"total_alloc_bytes"`
-	TotalAllocObjects uint64  `json:"total_alloc_objects"`
-	GCCycles          uint64  `json:"gc_cycles"`
-	GCPauseTotalNS    int64   `json:"gc_pause_total_ns"`
-	GCCPUFraction     float64 `json:"gc_cpu_fraction"`
-	MemPressureEvents int64   `json:"mem_pressure_events,omitempty"`
-	WatchdogStalls    int64   `json:"watchdog_stalls,omitempty"`
+	Samples           int64  `json:"samples"`
+	PeakHeapLiveBytes uint64 `json:"peak_heap_live_bytes"`
+	MaxGoroutines     int64  `json:"max_goroutines"`
+	TotalAllocBytes   uint64 `json:"total_alloc_bytes"`
+	TotalAllocObjects uint64 `json:"total_alloc_objects"`
+	GCCycles          uint64 `json:"gc_cycles"`
+	GCPauseTotalNS    int64  `json:"gc_pause_total_ns"`
+	// GCCPUFraction is the last sample's GC share of CPU time. It is the
+	// runtime's process-lifetime cumulative fraction, not a run-scoped
+	// total like the fields above.
+	GCCPUFraction float64 `json:"gc_cpu_fraction"`
+	// WatchdogStalls counts watchdog_stall events; Add leaves it to the
+	// caller, which sees those events.
+	WatchdogStalls int64 `json:"watchdog_stalls,omitempty"`
+
+	first ResourceSample // baseline for the run-scoped totals
 }
 
-// ResourceConfig tunes StartResourceSampler.
+// Add folds one sample into the rollup. Samples must arrive in emission
+// order: the first one is the baseline of every run-scoped total.
+func (r *ResourceRollup) Add(s ResourceSample) {
+	if r.Samples == 0 {
+		r.first = s
+	}
+	r.Samples++
+	if s.HeapLiveBytes > r.PeakHeapLiveBytes {
+		r.PeakHeapLiveBytes = s.HeapLiveBytes
+	}
+	if s.Goroutines > r.MaxGoroutines {
+		r.MaxGoroutines = s.Goroutines
+	}
+	r.TotalAllocBytes = s.TotalAllocBytes - r.first.TotalAllocBytes
+	r.TotalAllocObjects = s.TotalAllocObjects - r.first.TotalAllocObjects
+	r.GCCycles = s.GCCycles - r.first.GCCycles
+	r.GCPauseTotalNS = s.GCPauseTotalNS - r.first.GCPauseTotalNS
+	r.GCCPUFraction = s.GCCPUFraction
+}
+
+// ResourceConfig tunes ResourceSampler.Start.
 type ResourceConfig struct {
-	// Interval is the sampling cadence; <= 0 disables periodic sampling
-	// unless a watchdog or profiler needs a tick, in which case it defaults
-	// to DefaultResourceInterval.
+	// Interval is the sampling cadence; <= 0 selects
+	// DefaultResourceInterval.
 	Interval time.Duration
-	// RingCap bounds the in-memory sample ring (<= 0 selects
-	// DefaultResourceRing).
-	RingCap int
-	// MemSoftLimitBytes, when > 0, arms the soft memory watermark: live
-	// heap at or above it journals mem_pressure and captures a heap
-	// profile; the watchdog re-arms when live heap falls back under 90%.
-	MemSoftLimitBytes uint64
 	// StallTimeout, when > 0, arms the stall watchdog: no journal/progress
-	// activity for this long journals watchdog_stall and captures a
-	// goroutine profile; it re-arms on the next activity.
+	// activity for this long journals watchdog_stall and writes a goroutine
+	// dump next to the journal file; it re-arms on the next activity.
 	StallTimeout time.Duration
-	// ProfileDir, when set, enables continuous profiling: rotating CPU
-	// profiles plus periodic heap profiles written under this directory
-	// every ProfileInterval (default DefaultProfileInterval). Watchdog
-	// captures land here too (falling back to the journal's directory,
-	// then to none, when unset).
-	ProfileDir string
-	// ProfileInterval is the profile rotation cadence.
-	ProfileInterval time.Duration
-	// Journal enables resource_sample/watchdog_stall/mem_pressure journal
-	// events (the sampler checks JournalOn per tick regardless, so this
-	// only suppresses them for embedded users who want ring-only samples).
-	Journal bool
-	// Artifact, when non-nil, is called for every file the sampler writes
-	// (profiles, watchdog captures) so the run manifest can index them;
-	// wired to RunInfo.SetArtifact by the flag layer.
+	// Artifact, when non-nil, is called for every goroutine dump the
+	// watchdog writes so the run manifest can index it; wired to
+	// RunInfo.SetArtifact by the flag layer.
 	Artifact func(kind, path string)
 }
 
-// Defaults for ResourceConfig zero values.
-const (
-	DefaultResourceInterval = 1 * time.Second
-	DefaultResourceRing     = 512
-	DefaultProfileInterval  = 30 * time.Second
-)
+// DefaultResourceInterval is the sampling cadence for a zero Interval.
+const DefaultResourceInterval = 1 * time.Second
 
 // activityCounter counts externally visible liveness: journal events and
 // progress bumps. The stall watchdog watches it; a counter that stops
@@ -161,58 +183,31 @@ var activityCounter atomic.Int64
 // both.
 func noteActivity() { activityCounter.Add(1) }
 
-// Registry series the sampler maintains. Gauges carry the latest sample;
-// counters carry cumulative totals (advanced by delta, staying monotonic).
-var (
-	telHeapLive    = GetGauge("mnsim_proc_heap_live_bytes")
-	telHeapGoal    = GetGauge("mnsim_proc_heap_goal_bytes")
-	telGoroutines  = GetGauge("mnsim_proc_goroutines")
-	telGCFraction  = GetGauge("mnsim_proc_gc_cpu_fraction")
-	telSchedP99    = GetGauge("mnsim_proc_sched_latency_p99_us")
-	telAllocBytes  = GetCounter("mnsim_proc_alloc_bytes_total")
-	telAllocObjs   = GetCounter("mnsim_proc_alloc_objects_total")
-	telGCCycles    = GetCounter("mnsim_proc_gc_cycles_total")
-	telGCPauseNS   = GetCounter("mnsim_proc_gc_pause_ns_total")
-	telMemPressure = GetCounter("mnsim_proc_mem_pressure_total")
-	telStalls      = GetCounter("mnsim_proc_watchdog_stalls_total")
-)
-
-// ResourceSampler owns the sampling goroutine and its bounded ring. The
-// zero value is a stopped sampler; the package-level default instance
-// backs /resources.json and the flag layer.
+// ResourceSampler owns the sampling goroutine and the rollup of what it
+// emitted. The zero value is a stopped sampler; the package-level default
+// instance backs the flag layer.
 type ResourceSampler struct {
 	mu      sync.Mutex
 	cfg     ResourceConfig
-	ring    []ResourceSample
-	total   int64
 	rollup  ResourceRollup
-	first   *ResourceSample // baseline for run-scoped totals
 	ran     bool
 	running bool
 	stop    chan struct{}
 	done    chan struct{}
 
-	// Sampling state, owned by the loop goroutine while running.
-	buf []metrics.Sample
-	// prev* are the last tick's cumulative counter values, for registry
-	// deltas.
-	prevAllocB, prevAllocO, prevCycles uint64
-	prevPauseNS                        int64
-	// Watchdog state.
-	memArmed      bool
-	lastActivity  int64
-	lastChangeNS  int64
-	stallArmed    bool
-	captureSeq    int
-	cpuProfile    *os.File
-	cpuProfileSeq int
-	lastProfileNS int64
+	// Sampling and watchdog state, owned by the loop goroutine while
+	// running.
+	buf          []metrics.Sample
+	lastActivity int64
+	lastChangeNS int64
+	stallArmed   bool
+	dumps        int
 }
 
 var defaultResources = &ResourceSampler{}
 
 // DefaultResourceSampler returns the process-wide sampler instance — the
-// one the telemetry flags start and /resources.json serves.
+// one the telemetry flags start.
 func DefaultResourceSampler() *ResourceSampler { return defaultResources }
 
 // Start launches the sampling loop; it runs until Stop or ctx
@@ -222,22 +217,13 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultResourceInterval
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = DefaultResourceRing
-	}
-	if cfg.ProfileInterval <= 0 {
-		cfg.ProfileInterval = DefaultProfileInterval
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.running {
-		s.mu.Unlock()
 		return fmt.Errorf("telemetry: resource sampler already running")
 	}
 	s.cfg = cfg
-	s.ring = s.ring[:0]
-	s.total = 0
-	s.rollup = ResourceRollup{IntervalMS: cfg.Interval.Milliseconds()}
-	s.first = nil
+	s.rollup = ResourceRollup{}
 	s.ran = true
 	s.running = true
 	s.stop = make(chan struct{})
@@ -246,25 +232,10 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 	for i, name := range resourceMetricNames {
 		s.buf[i].Name = name
 	}
-	s.prevAllocB, s.prevAllocO, s.prevCycles, s.prevPauseNS = 0, 0, 0, 0
-	s.memArmed = cfg.MemSoftLimitBytes > 0
 	s.stallArmed = cfg.StallTimeout > 0
 	s.lastActivity = activityCounter.Load()
 	s.lastChangeNS = time.Now().UnixNano()
-	s.captureSeq = 0
-	s.cpuProfileSeq = 0
-	s.lastProfileNS = s.lastChangeNS
-	s.mu.Unlock()
-
-	if cfg.ProfileDir != "" {
-		if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {
-			s.mu.Lock()
-			s.running = false
-			s.mu.Unlock()
-			return fmt.Errorf("telemetry: profile dir: %w", err)
-		}
-		s.startCPUProfile()
-	}
+	s.dumps = 0
 	// Sampling goroutine. Termination edges: loop selects on s.stop
 	// (closed by Stop, which then joins on s.done) and on ctx.Done, so
 	// cancelling the run context or stopping the sampler both end it.
@@ -286,9 +257,9 @@ func (s *ResourceSampler) Stop() {
 	<-done
 }
 
-// loop is the sampling goroutine: one ticker drives sampling, both
-// watchdogs, and profile rotation, so stopping the sampler stops
-// everything and leaves no goroutines behind.
+// loop is the sampling goroutine: one ticker drives sampling and the stall
+// watchdog, so stopping the sampler stops both and leaves no goroutines
+// behind.
 func (s *ResourceSampler) loop(ctx context.Context) {
 	defer close(s.done)
 	tick := time.NewTicker(s.cfg.Interval)
@@ -307,143 +278,50 @@ func (s *ResourceSampler) loop(ctx context.Context) {
 	}
 }
 
-// finish takes the final sample, closes any open CPU profile, and marks
-// the sampler stopped — the clean-shutdown flush the journal contract
-// promises.
+// finish takes the final sample and marks the sampler stopped — the
+// clean-shutdown flush the journal contract promises.
 func (s *ResourceSampler) finish() {
 	s.tick(time.Now())
-	s.stopCPUProfile(true)
-	if s.cfg.ProfileDir != "" {
-		s.writeHeapProfile("heap", "profile_heap")
-	}
 	s.mu.Lock()
 	s.running = false
 	s.mu.Unlock()
 }
 
-// tick takes one sample, updates the registry and rollup, runs the
-// watchdogs, and rotates profiles.
+// tick reads runtime/metrics, emits one resource_sample event, folds that
+// event into the rollup, and runs the stall watchdog.
 func (s *ResourceSampler) tick(now time.Time) {
 	metrics.Read(s.buf)
-	smp := ResourceSample{
-		TNS:               now.UnixNano(),
-		HeapLiveBytes:     s.buf[rmHeapLive].Value.Uint64(),
-		HeapGoalBytes:     s.buf[rmHeapGoal].Value.Uint64(),
-		TotalAllocBytes:   s.buf[rmAllocBytes].Value.Uint64(),
-		TotalAllocObjects: s.buf[rmAllocObjects].Value.Uint64(),
-		Goroutines:        int64(s.buf[rmGoroutines].Value.Uint64()),
-		GCCycles:          s.buf[rmGCCycles].Value.Uint64(),
-	}
+	var pauseNS, gcFraction, schedP99 float64
 	if h := s.buf[rmGCPauses].Value.Float64Histogram(); h != nil {
-		smp.GCPauseTotalNS = int64(histogramSum(h) * 1e9)
+		pauseNS = float64(int64(histogramSum(h) * 1e9))
 	}
-	gcCPU := s.buf[rmGCCPU].Value.Float64()
-	totCPU := s.buf[rmTotalCPU].Value.Float64()
-	if totCPU > 0 {
-		smp.GCCPUFraction = gcCPU / totCPU
+	if total := s.buf[rmTotalCPU].Value.Float64(); total > 0 {
+		gcFraction = s.buf[rmGCCPU].Value.Float64() / total
 	}
 	if h := s.buf[rmSchedLat].Value.Float64Histogram(); h != nil {
-		smp.SchedLatencyP50US = histogramQuantile(h, 0.50) * 1e6
-		smp.SchedLatencyP99US = histogramQuantile(h, 0.99) * 1e6
+		schedP99 = histogramQuantile(h, 0.99) * 1e6
 	}
-
-	// Registry: gauges take the latest value, counters advance by delta so
-	// they stay monotonic across sampler restarts.
-	telHeapLive.Set(float64(smp.HeapLiveBytes))
-	telHeapGoal.Set(float64(smp.HeapGoalBytes))
-	telGoroutines.Set(float64(smp.Goroutines))
-	telGCFraction.Set(smp.GCCPUFraction)
-	telSchedP99.Set(smp.SchedLatencyP99US)
-	telAllocBytes.Add(int64(smp.TotalAllocBytes - s.prevAllocB))
-	telAllocObjs.Add(int64(smp.TotalAllocObjects - s.prevAllocO))
-	telGCCycles.Add(int64(smp.GCCycles - s.prevCycles))
-	telGCPauseNS.Add(smp.GCPauseTotalNS - s.prevPauseNS)
-	s.prevAllocB, s.prevAllocO = smp.TotalAllocBytes, smp.TotalAllocObjects
-	s.prevCycles, s.prevPauseNS = smp.GCCycles, smp.GCPauseTotalNS
-
+	ev := Event{TNS: now.UnixNano(), Type: EvResourceSample, Data: map[string]any{
+		"heap_live_bytes":      float64(s.buf[rmHeapLive].Value.Uint64()),
+		"heap_goal_bytes":      float64(s.buf[rmHeapGoal].Value.Uint64()),
+		"total_alloc_bytes":    float64(s.buf[rmAllocBytes].Value.Uint64()),
+		"total_alloc_objects":  float64(s.buf[rmAllocObjects].Value.Uint64()),
+		"goroutines":           float64(s.buf[rmGoroutines].Value.Uint64()),
+		"gc_cycles":            float64(s.buf[rmGCCycles].Value.Uint64()),
+		"gc_pause_total_ns":    pauseNS,
+		"gc_cpu_fraction":      jsonFiniteF(gcFraction),
+		"sched_latency_p99_us": jsonFiniteF(schedP99),
+	}}
+	EmitEvent(ev.Type, "", ev.Data)
+	smp, _ := ResourceSampleFromEvent(ev)
 	s.mu.Lock()
-	if len(s.ring) < s.cfg.RingCap {
-		s.ring = append(s.ring, smp)
-	} else {
-		copy(s.ring, s.ring[1:])
-		s.ring[len(s.ring)-1] = smp
-	}
-	s.total++
-	if s.first == nil {
-		f := smp
-		s.first = &f
-	}
-	r := &s.rollup
-	r.Samples = s.total
-	if smp.HeapLiveBytes > r.PeakHeapLiveBytes {
-		r.PeakHeapLiveBytes = smp.HeapLiveBytes
-	}
-	if smp.Goroutines > r.MaxGoroutines {
-		r.MaxGoroutines = smp.Goroutines
-	}
-	r.TotalAllocBytes = smp.TotalAllocBytes - s.first.TotalAllocBytes
-	r.TotalAllocObjects = smp.TotalAllocObjects - s.first.TotalAllocObjects
-	r.GCCycles = smp.GCCycles - s.first.GCCycles
-	r.GCPauseTotalNS = smp.GCPauseTotalNS - s.first.GCPauseTotalNS
-	r.GCCPUFraction = smp.GCCPUFraction
-	journal := s.cfg.Journal
+	s.rollup.Add(smp)
 	s.mu.Unlock()
-
-	if journal && JournalOn() {
-		EmitEvent(EvResourceSample, "", map[string]any{
-			"heap_live_bytes":      smp.HeapLiveBytes,
-			"heap_goal_bytes":      smp.HeapGoalBytes,
-			"total_alloc_bytes":    smp.TotalAllocBytes,
-			"total_alloc_objects":  smp.TotalAllocObjects,
-			"goroutines":           smp.Goroutines,
-			"gc_cycles":            smp.GCCycles,
-			"gc_pause_total_ns":    smp.GCPauseTotalNS,
-			"gc_cpu_fraction":      jsonFiniteF(smp.GCCPUFraction),
-			"sched_latency_p99_us": jsonFiniteF(smp.SchedLatencyP99US),
-		})
-	}
-	s.checkMemPressure(smp)
 	s.checkStall(now, smp)
-	s.rotateProfiles(now)
-}
-
-// checkMemPressure fires the soft memory watermark: one mem_pressure event
-// plus one heap-profile capture per crossing, re-armed when live heap
-// falls back under 90% of the limit (hysteresis, so a run hovering at the
-// limit does not spam captures).
-func (s *ResourceSampler) checkMemPressure(smp ResourceSample) {
-	limit := s.cfg.MemSoftLimitBytes
-	if limit == 0 {
-		return
-	}
-	if !s.memArmed {
-		if smp.HeapLiveBytes < limit-limit/10 {
-			s.memArmed = true
-		}
-		return
-	}
-	if smp.HeapLiveBytes < limit {
-		return
-	}
-	s.memArmed = false
-	telMemPressure.Inc()
-	s.mu.Lock()
-	s.rollup.MemPressureEvents++
-	s.mu.Unlock()
-	path := s.writeHeapProfile("heap-pressure", "mem_pressure_heap_profile")
-	Log().Warn("soft memory limit crossed",
-		"heap_live_bytes", smp.HeapLiveBytes, "limit_bytes", limit, "heap_profile", path)
-	if s.cfg.Journal && JournalOn() {
-		EmitEvent(EvMemPressure, "", map[string]any{
-			"heap_live_bytes": smp.HeapLiveBytes,
-			"limit_bytes":     limit,
-			"heap_profile":    path,
-		})
-	}
 }
 
 // checkStall fires the stall watchdog: when the activity counter has not
-// moved for StallTimeout, capture a goroutine profile and journal
+// moved for StallTimeout, write a goroutine dump and journal
 // watchdog_stall; re-arm on the next activity.
 func (s *ResourceSampler) checkStall(now time.Time, smp ResourceSample) {
 	if s.cfg.StallTimeout <= 0 {
@@ -461,121 +339,29 @@ func (s *ResourceSampler) checkStall(now time.Time, smp ResourceSample) {
 		return
 	}
 	s.stallArmed = false
-	telStalls.Inc()
 	s.mu.Lock()
 	s.rollup.WatchdogStalls++
 	s.mu.Unlock()
-	path := s.writeGoroutineProfile()
+	path := s.writeGoroutineDump()
 	Log().Warn("stall watchdog fired: no journal/progress activity",
 		"quiet", time.Duration(quiet), "goroutines", smp.Goroutines, "goroutine_profile", path)
-	if s.cfg.Journal && JournalOn() {
-		EmitEvent(EvWatchdogStall, "", map[string]any{
-			"quiet_ms":          quiet / 1e6,
-			"goroutines":        smp.Goroutines,
-			"goroutine_profile": path,
-		})
-	}
+	EmitEvent(EvWatchdogStall, "", map[string]any{
+		"quiet_ms":          quiet / 1e6,
+		"goroutines":        smp.Goroutines,
+		"goroutine_profile": path,
+	})
 }
 
-// rotateProfiles closes and restarts the continuous CPU profile and writes
-// a heap profile every ProfileInterval.
-func (s *ResourceSampler) rotateProfiles(now time.Time) {
-	if s.cfg.ProfileDir == "" {
-		return
-	}
-	if now.UnixNano()-s.lastProfileNS < int64(s.cfg.ProfileInterval) {
-		return
-	}
-	s.lastProfileNS = now.UnixNano()
-	s.stopCPUProfile(false)
-	s.startCPUProfile()
-	s.writeHeapProfile("heap", "profile_heap")
-}
-
-// captureDir resolves where watchdog/profile captures go: -profile-dir
-// when set, else next to the journal file, else nowhere.
-func (s *ResourceSampler) captureDir() string {
-	if s.cfg.ProfileDir != "" {
-		return s.cfg.ProfileDir
-	}
-	if p := defaultJournal.Path(); p != "" {
-		return filepath.Dir(p)
-	}
-	return ""
-}
-
-// startCPUProfile begins the next rotating CPU profile segment. A failure
-// (including another CPU profile already running, e.g. under go test
-// -cpuprofile) is logged and skipped — profiling is best-effort.
-func (s *ResourceSampler) startCPUProfile() {
-	path := filepath.Join(s.cfg.ProfileDir, fmt.Sprintf("cpu-%03d.pprof", s.cpuProfileSeq))
-	f, err := os.Create(path)
-	if err != nil {
-		Log().Warn("cpu profile create failed", "path", path, "err", err)
-		return
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		Log().Warn("cpu profile start failed", "path", path, "err", err)
-		_ = f.Close() // profile never started; nothing useful in the file
-		_ = os.Remove(path)
-		return
-	}
-	s.cpuProfile = f
-	s.cpuProfileSeq++
-}
-
-// stopCPUProfile ends the current CPU profile segment and records it as an
-// artifact. final marks the last segment of the run.
-func (s *ResourceSampler) stopCPUProfile(final bool) {
-	if s.cpuProfile == nil {
-		return
-	}
-	pprof.StopCPUProfile()
-	path := s.cpuProfile.Name()
-	if err := s.cpuProfile.Close(); err != nil {
-		Log().Warn("cpu profile close failed", "path", path, "err", err)
-	}
-	s.cpuProfile = nil
-	s.recordArtifact("profile_cpu", path)
-	_ = final
-}
-
-// writeHeapProfile captures a heap profile into the capture directory and
-// records it as an artifact of the given kind. Returns the path ("" when
-// there is no capture directory or the write failed).
-func (s *ResourceSampler) writeHeapProfile(prefix, artifactKind string) string {
-	dir := s.captureDir()
-	if dir == "" {
+// writeGoroutineDump writes a textual goroutine dump (pprof debug=1) next
+// to the journal file and records it as an artifact. Returns the path, or
+// "" when there is no journal file or the write failed.
+func (s *ResourceSampler) writeGoroutineDump() string {
+	jp := defaultJournal.Path()
+	if jp == "" {
 		return ""
 	}
-	s.captureSeq++
-	path := filepath.Join(dir, fmt.Sprintf("%s-%03d.pprof", prefix, s.captureSeq))
-	f, err := os.Create(path)
-	if err != nil {
-		Log().Warn("heap profile create failed", "path", path, "err", err)
-		return ""
-	}
-	err = pprof.Lookup("heap").WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		Log().Warn("heap profile write failed", "path", path, "err", err)
-		return ""
-	}
-	s.recordArtifact(artifactKind, path)
-	return path
-}
-
-// writeGoroutineProfile captures a textual goroutine dump (pprof debug=1)
-// into the capture directory.
-func (s *ResourceSampler) writeGoroutineProfile() string {
-	dir := s.captureDir()
-	if dir == "" {
-		return ""
-	}
-	s.captureSeq++
-	path := filepath.Join(dir, fmt.Sprintf("goroutine-stall-%03d.pprof", s.captureSeq))
+	s.dumps++
+	path := filepath.Join(filepath.Dir(jp), fmt.Sprintf("goroutine-stall-%03d.pprof", s.dumps))
 	f, err := os.Create(path)
 	if err != nil {
 		Log().Warn("goroutine profile create failed", "path", path, "err", err)
@@ -589,18 +375,15 @@ func (s *ResourceSampler) writeGoroutineProfile() string {
 		Log().Warn("goroutine profile write failed", "path", path, "err", err)
 		return ""
 	}
-	s.recordArtifact("watchdog_goroutine_profile", path)
+	if s.cfg.Artifact != nil {
+		s.cfg.Artifact("watchdog_goroutine_profile", path)
+	}
 	return path
 }
 
-func (s *ResourceSampler) recordArtifact(kind, path string) {
-	if s.cfg.Artifact != nil {
-		s.cfg.Artifact(kind, path)
-	}
-}
-
-// Rollup returns the run-level summary, or nil when the sampler never ran
-// — the manifest omits the resources block entirely for unsampled runs.
+// Rollup returns the fold of every sample the last run emitted, or nil
+// when the sampler never ran — the manifest omits the resources block
+// entirely for unsampled runs.
 func (s *ResourceSampler) Rollup() *ResourceRollup {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,40 +392,6 @@ func (s *ResourceSampler) Rollup() *ResourceRollup {
 	}
 	r := s.rollup
 	return &r
-}
-
-// Samples returns a copy of the ring (oldest first).
-func (s *ResourceSampler) Samples() []ResourceSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ResourceSample(nil), s.ring...)
-}
-
-// resourcesJSON is the /resources.json payload.
-type resourcesJSON struct {
-	Enabled bool             `json:"enabled"`
-	Rollup  *ResourceRollup  `json:"rollup,omitempty"`
-	Samples []ResourceSample `json:"samples"`
-}
-
-// WriteJSON writes the sampler state — the /resources.json endpoint body.
-func (s *ResourceSampler) WriteJSON(w io.Writer) error {
-	s.mu.Lock()
-	out := resourcesJSON{
-		Enabled: s.running,
-		Samples: append([]ResourceSample(nil), s.ring...),
-	}
-	if s.ran {
-		r := s.rollup
-		out.Rollup = &r
-	}
-	s.mu.Unlock()
-	if out.Samples == nil {
-		out.Samples = []ResourceSample{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // histogramSum approximates the total of a runtime/metrics histogram by
@@ -715,39 +464,6 @@ func jsonFiniteF(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// ParseByteSize parses human-friendly byte sizes: a plain integer is
-// bytes; suffixes KB/MB/GB (decimal, 1000-based) and KiB/MiB/GiB (binary,
-// 1024-based) scale it, case-insensitively; "64M" means 64 MiB (the
-// conventional shorthand). The empty string is 0.
-func ParseByteSize(s string) (uint64, error) {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, nil
-	}
-	upper := strings.ToUpper(t)
-	mult := uint64(1)
-	for _, suf := range []struct {
-		name string
-		mult uint64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1000}, {"MB", 1000 * 1000}, {"GB", 1000 * 1000 * 1000},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
-		{"B", 1},
-	} {
-		if strings.HasSuffix(upper, suf.name) {
-			mult = suf.mult
-			upper = strings.TrimSpace(strings.TrimSuffix(upper, suf.name))
-			break
-		}
-	}
-	n, err := strconv.ParseFloat(upper, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("telemetry: invalid byte size %q", s)
-	}
-	return uint64(n * float64(mult)), nil
 }
 
 // FormatByteSize renders bytes human-readably (binary units), for tables.

@@ -2,13 +2,15 @@ package telemetry
 
 import (
 	"context"
+	"flag"
 	"math"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,13 +39,31 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// journalSamples parses the resource_sample events among evs, in order.
+func journalSamples(evs []Event) []ResourceSample {
+	var out []ResourceSample
+	for _, ev := range evs {
+		if smp, ok := ResourceSampleFromEvent(ev); ok {
+			out = append(out, smp)
+		}
+	}
+	return out
+}
+
+// Every tick lands in the journal as one resource_sample event, and the
+// rollup folds exactly the events emitted.
 func TestResourceSamplerSamples(t *testing.T) {
+	j, _ := newTestJournal(t, 256)
+	old := defaultJournal
+	defaultJournal = j
+	t.Cleanup(func() { defaultJournal = old })
+
 	startTestSampler(t, ResourceConfig{Interval: 5 * time.Millisecond})
 	waitFor(t, 5*time.Second, "two samples", func() bool {
-		return len(defaultResources.Samples()) >= 2
+		return len(journalSamples(j.Events())) >= 2
 	})
 	defaultResources.Stop()
-	samples := defaultResources.Samples()
+	samples := journalSamples(j.Events())
 	last := samples[len(samples)-1]
 	if last.HeapLiveBytes == 0 || last.HeapGoalBytes == 0 {
 		t.Fatalf("empty heap stats: %+v", last)
@@ -66,15 +86,51 @@ func TestResourceSamplerSamples(t *testing.T) {
 	if r == nil {
 		t.Fatal("nil rollup after a sampled run")
 	}
-	if r.Samples != int64(defaultResources.total) || r.PeakHeapLiveBytes == 0 || r.MaxGoroutines <= 0 {
-		t.Fatalf("rollup not filled: %+v", r)
+	if r.Samples != int64(len(samples)) || r.PeakHeapLiveBytes == 0 || r.MaxGoroutines <= 0 {
+		t.Fatalf("rollup of %d journaled samples not filled: %+v", len(samples), r)
 	}
-	// Registry export: the gauges carry the last sample.
-	if got := telHeapLive.Value(); got != float64(last.HeapLiveBytes) {
-		t.Fatalf("heap gauge %v, want %v", got, last.HeapLiveBytes)
+}
+
+// A non-sample event parses to nothing; a sample from a journal file (every
+// number a float64) parses field for field, a negative count reads as zero.
+func TestResourceSampleFromEvent(t *testing.T) {
+	if _, ok := ResourceSampleFromEvent(Event{Type: EvWatchdogStall}); ok {
+		t.Fatal("watchdog_stall parsed as a resource sample")
 	}
-	if telAllocBytes.Value() <= 0 {
-		t.Fatal("alloc counter never advanced")
+	got, ok := ResourceSampleFromEvent(Event{TNS: 42, Type: EvResourceSample, Data: map[string]any{
+		"heap_live_bytes": 1024.0, "heap_goal_bytes": 2048.0,
+		"total_alloc_bytes": 4096.0, "total_alloc_objects": 8.0,
+		"goroutines": 3.0, "gc_cycles": 2.0, "gc_pause_total_ns": -5.0,
+		"gc_cpu_fraction": 0.25, "sched_latency_p99_us": 7.5,
+	}})
+	want := ResourceSample{TNS: 42, HeapLiveBytes: 1024, HeapGoalBytes: 2048,
+		TotalAllocBytes: 4096, TotalAllocObjects: 8, Goroutines: 3, GCCycles: 2,
+		GCCPUFraction: 0.25, SchedLatencyP99US: 7.5}
+	if !ok || got != want {
+		t.Fatalf("parsed %+v, %v; want %+v", got, ok, want)
+	}
+}
+
+// The fold: peaks over every sample, totals as last minus first, the GC
+// CPU fraction as the last sample's.
+func TestResourceRollupAdd(t *testing.T) {
+	samples := []ResourceSample{
+		{HeapLiveBytes: 10, Goroutines: 4, TotalAllocBytes: 100, TotalAllocObjects: 5,
+			GCCycles: 3, GCPauseTotalNS: 50, GCCPUFraction: 0.1},
+		{HeapLiveBytes: 30, Goroutines: 2, TotalAllocBytes: 160, TotalAllocObjects: 9,
+			GCCycles: 4, GCPauseTotalNS: 70, GCCPUFraction: 0.2},
+		{HeapLiveBytes: 20, Goroutines: 3, TotalAllocBytes: 400, TotalAllocObjects: 20,
+			GCCycles: 7, GCPauseTotalNS: 90, GCCPUFraction: 0.15},
+	}
+	var r ResourceRollup
+	for _, smp := range samples {
+		r.Add(smp)
+	}
+	want := ResourceRollup{Samples: 3, PeakHeapLiveBytes: 30, MaxGoroutines: 4,
+		TotalAllocBytes: 300, TotalAllocObjects: 15, GCCycles: 4, GCPauseTotalNS: 40,
+		GCCPUFraction: 0.15, first: samples[0]}
+	if r != want {
+		t.Fatalf("rollup %+v, want %+v", r, want)
 	}
 }
 
@@ -86,9 +142,9 @@ func TestResourceSamplerFinalFlush(t *testing.T) {
 	defaultJournal = j
 	t.Cleanup(func() { defaultJournal = old })
 
-	startTestSampler(t, ResourceConfig{Interval: time.Hour, Journal: true})
+	startTestSampler(t, ResourceConfig{Interval: time.Hour})
 	defaultResources.Stop()
-	if n := len(defaultResources.Samples()); n != 1 {
+	if n := defaultResources.Rollup().Samples; n != 1 {
 		t.Fatalf("got %d samples, want exactly the final flush", n)
 	}
 	j.Close()
@@ -148,61 +204,9 @@ func TestResourceSamplerLifecycle(t *testing.T) {
 	defaultResources.Stop() // idempotent
 }
 
-// A tiny soft limit must fire mem_pressure exactly once (no re-arm while
-// the heap stays above 90% of the limit), journal the event, capture a
-// heap profile next to the journal, and count into the rollup.
-func TestResourceSamplerMemPressure(t *testing.T) {
-	j, path := newTestJournal(t, 256)
-	old := defaultJournal
-	defaultJournal = j
-	t.Cleanup(func() { defaultJournal = old })
-
-	startTestSampler(t, ResourceConfig{
-		Interval:          3 * time.Millisecond,
-		MemSoftLimitBytes: 1, // any live heap crosses this
-		Journal:           true,
-	})
-	waitFor(t, 5*time.Second, "several samples", func() bool {
-		return len(defaultResources.Samples()) >= 4
-	})
-	defaultResources.Stop()
-	r := defaultResources.Rollup()
-	if r.MemPressureEvents != 1 {
-		t.Fatalf("mem pressure fired %d times, want exactly 1 (hysteresis)", r.MemPressureEvents)
-	}
-	j.Close()
-	events, err := ReadJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev *Event
-	for i := range events {
-		if events[i].Type == EvMemPressure {
-			ev = &events[i]
-			break
-		}
-	}
-	if ev == nil {
-		t.Fatal("no mem_pressure event journaled")
-	}
-	if ev.Data["limit_bytes"].(float64) != 1 {
-		t.Fatalf("mem_pressure limit %v", ev.Data["limit_bytes"])
-	}
-	prof, _ := ev.Data["heap_profile"].(string)
-	if prof == "" {
-		t.Fatal("mem_pressure event carries no heap profile path")
-	}
-	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
-		t.Fatalf("heap profile %s missing or empty: %v", prof, err)
-	}
-	if filepath.Dir(prof) != filepath.Dir(path) {
-		t.Fatalf("capture %s not next to journal %s", prof, path)
-	}
-}
-
-// With no journal/progress activity the stall watchdog must fire, capture
-// a goroutine profile, and journal watchdog_stall; the sampler's own
-// resource_sample events must not count as activity.
+// With no journal/progress activity the stall watchdog must fire, write a
+// goroutine dump next to the journal, and journal watchdog_stall; the
+// sampler's own resource_sample events must not count as activity.
 func TestResourceSamplerStallWatchdog(t *testing.T) {
 	j, path := newTestJournal(t, 256)
 	old := defaultJournal
@@ -212,7 +216,6 @@ func TestResourceSamplerStallWatchdog(t *testing.T) {
 	startTestSampler(t, ResourceConfig{
 		Interval:     3 * time.Millisecond,
 		StallTimeout: 15 * time.Millisecond,
-		Journal:      true,
 	})
 	waitFor(t, 5*time.Second, "stall to fire", func() bool {
 		return defaultResources.Rollup().WatchdogStalls >= 1
@@ -249,6 +252,35 @@ func TestResourceSamplerStallWatchdog(t *testing.T) {
 	}
 }
 
+// Without a journal file the stall watchdog still fires and counts, but
+// writes no goroutine dump and records no artifact.
+func TestResourceSamplerStallWithoutJournalFile(t *testing.T) {
+	old := defaultJournal
+	defaultJournal = NewJournal(16)
+	t.Cleanup(func() { defaultJournal = old })
+
+	var mu sync.Mutex
+	var arts []string
+	startTestSampler(t, ResourceConfig{
+		Interval:     3 * time.Millisecond,
+		StallTimeout: 15 * time.Millisecond,
+		Artifact: func(kind, path string) {
+			mu.Lock()
+			arts = append(arts, kind+"="+path)
+			mu.Unlock()
+		},
+	})
+	waitFor(t, 5*time.Second, "stall to fire", func() bool {
+		return defaultResources.Rollup().WatchdogStalls >= 1
+	})
+	defaultResources.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(arts) != 0 {
+		t.Fatalf("watchdog wrote %v with no journal file", arts)
+	}
+}
+
 // Activity (journal or progress traffic) must hold the stall watchdog off.
 func TestResourceSamplerStallSuppressedByActivity(t *testing.T) {
 	j, _ := newTestJournal(t, 256)
@@ -259,7 +291,6 @@ func TestResourceSamplerStallSuppressedByActivity(t *testing.T) {
 	startTestSampler(t, ResourceConfig{
 		Interval:     2 * time.Millisecond,
 		StallTimeout: 20 * time.Millisecond,
-		Journal:      true,
 	})
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -269,54 +300,6 @@ func TestResourceSamplerStallSuppressedByActivity(t *testing.T) {
 	defaultResources.Stop()
 	if n := defaultResources.Rollup().WatchdogStalls; n != 0 {
 		t.Fatalf("watchdog fired %d times despite continuous activity", n)
-	}
-}
-
-// Continuous profiling must produce rotating CPU profiles and a final heap
-// profile under -profile-dir, and report them as artifacts.
-func TestResourceSamplerContinuousProfiling(t *testing.T) {
-	dir := t.TempDir()
-	arts := map[string]string{}
-	startTestSampler(t, ResourceConfig{
-		Interval:        3 * time.Millisecond,
-		ProfileDir:      dir,
-		ProfileInterval: 10 * time.Millisecond,
-		Artifact:        func(kind, path string) { arts[kind] = path },
-	})
-	waitFor(t, 5*time.Second, "profile rotation", func() bool {
-		m, _ := filepath.Glob(filepath.Join(dir, "cpu-*.pprof"))
-		return len(m) >= 2
-	})
-	defaultResources.Stop()
-	cpus, _ := filepath.Glob(filepath.Join(dir, "cpu-*.pprof"))
-	heaps, _ := filepath.Glob(filepath.Join(dir, "heap-*.pprof"))
-	if len(cpus) < 2 {
-		t.Fatalf("want >= 2 rotated cpu profiles, got %v", cpus)
-	}
-	if len(heaps) < 1 {
-		t.Fatalf("want a heap profile, got %v", heaps)
-	}
-	if arts["profile_cpu"] == "" || arts["profile_heap"] == "" {
-		t.Fatalf("profile artifacts not recorded: %v", arts)
-	}
-}
-
-func TestResourcesEndpoint(t *testing.T) {
-	startTestSampler(t, ResourceConfig{Interval: 3 * time.Millisecond})
-	waitFor(t, 5*time.Second, "a sample", func() bool {
-		return len(defaultResources.Samples()) >= 1
-	})
-	srv := httptest.NewServer(NewServeMux(nil))
-	defer srv.Close()
-	status, _, body := get(t, srv.URL+"/resources.json")
-	if status != 200 {
-		t.Fatalf("/resources.json status %d", status)
-	}
-	if !strings.Contains(body, `"enabled": true`) {
-		t.Fatalf("/resources.json not live:\n%s", body)
-	}
-	if !strings.Contains(body, "heap_live_bytes") || !strings.Contains(body, "rollup") {
-		t.Fatalf("/resources.json missing fields:\n%s", body)
 	}
 }
 
@@ -335,7 +318,7 @@ func TestFlagsResourceRollupInManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "samples", func() bool {
-		return len(defaultResources.Samples()) >= 2
+		return defaultResources.Rollup().Samples >= 2
 	})
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
@@ -352,39 +335,63 @@ func TestFlagsResourceRollupInManifest(t *testing.T) {
 	}
 }
 
-func TestParseByteSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want uint64
-		err  bool
-	}{
-		{"", 0, false},
-		{"0", 0, false},
-		{"1234", 1234, false},
-		{"64MiB", 64 << 20, false},
-		{"64mib", 64 << 20, false},
-		{"1 GiB", 1 << 30, false},
-		{"512KiB", 512 << 10, false},
-		{"2KB", 2000, false},
-		{"3MB", 3000000, false},
-		{"1GB", 1000000000, false},
-		{"64M", 64 << 20, false},
-		{"2k", 2 << 10, false},
-		{"1g", 1 << 30, false},
-		{"100B", 100, false},
-		{"1.5MiB", 3 << 19, false},
-		{"-1", 0, true},
-		{"howmuch", 0, true},
-		{"MiB", 0, true},
+// The manifest's resources block is what the journal says: a Flags-driven
+// sampled run writes a manifest whose rollup equals, field for field, the
+// fold of its own journal file through ResourceSampleFromEvent and Add.
+func TestFlagsManifestRollupMatchesJournal(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.jsonl")
+	runOut := filepath.Join(dir, "run.json")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := AddFlags(fs)
+	if err := fs.Parse([]string{"-journal", journal, "-resource-interval", "2ms", "-run-out", runOut}); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		got, err := ParseByteSize(c.in)
-		if c.err != (err != nil) {
-			t.Errorf("ParseByteSize(%q) err = %v, want err=%v", c.in, err, c.err)
+	t.Cleanup(defaultJournal.Reset)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Allocate between ticks so the run-scoped totals are not all zero.
+	var held [][]byte
+	waitFor(t, 5*time.Second, "samples", func() bool {
+		held = append(held, make([]byte, 64<<10))
+		return defaultResources.Rollup().Samples >= 3
+	})
+	if err := f.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(held)
+
+	m, err := LoadManifest(runOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Resources == nil {
+		t.Fatal("manifest has no resources block")
+	}
+	events, err := ReadJournalFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ResourceRollup
+	for _, ev := range events {
+		if smp, ok := ResourceSampleFromEvent(ev); ok {
+			want.Add(smp)
+		} else if ev.Type == EvWatchdogStall {
+			want.WatchdogStalls++
+		}
+	}
+	if want.Samples < 3 || want.TotalAllocBytes == 0 {
+		t.Fatalf("journal fold too thin to compare: %+v", want)
+	}
+	got, wantV := reflect.ValueOf(*m.Resources), reflect.ValueOf(want)
+	for i := 0; i < got.NumField(); i++ {
+		field := got.Type().Field(i)
+		if !field.IsExported() {
 			continue
 		}
-		if got != c.want {
-			t.Errorf("ParseByteSize(%q) = %d, want %d", c.in, got, c.want)
+		if g, w := got.Field(i).Interface(), wantV.Field(i).Interface(); g != w {
+			t.Errorf("resources.%s: manifest %v, journal fold %v", field.Name, g, w)
 		}
 	}
 }

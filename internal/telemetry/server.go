@@ -34,8 +34,6 @@ func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
 //	/progress       live sweep phases: total/done, rate, ETA
 //	/events         the flight-recorder ring buffer (most recent journal
 //	                events) with total/dropped counts
-//	/resources.json the resource sampler's ring (heap, GC, goroutines,
-//	                scheduler latency) plus the run rollup so far
 //	/runinfo        tool, args, seed, workers, Go/OS version, elapsed
 //	/healthz        liveness probe ("ok")
 //	/debug/pprof/*  net/http/pprof profiles
@@ -63,9 +61,6 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 	}))
 	mux.HandleFunc("/events", jsonHandler(func(w http.ResponseWriter) error {
 		return defaultJournal.WriteEventsJSON(w)
-	}))
-	mux.HandleFunc("/resources.json", jsonHandler(func(w http.ResponseWriter) error {
-		return defaultResources.WriteJSON(w)
 	}))
 	if run != nil {
 		mux.HandleFunc("/runinfo", jsonHandler(func(w http.ResponseWriter) error {
