@@ -31,6 +31,12 @@ func BenchmarkSolve(b *testing.B) {
 			for i := range vin {
 				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
 			}
+			// One untimed solve first: the tracer's first aggregate for the
+			// circuit.solve span allocates once per process, which would
+			// otherwise land in the first timed run's allocs/op.
+			if _, err := c.Solve(vin, SolveOptions{}); err != nil {
+				b.Fatal(err)
+			}
 			var newton, cg, flops, refreshes int64
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -84,7 +84,9 @@ type Crossbar struct {
 	Linear bool
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency and that every resistance is
+// finite: positive for the cells and the sense resistors, non-negative for
+// the wires.
 func (c *Crossbar) Validate() error {
 	if c.M <= 0 || c.N <= 0 {
 		return fmt.Errorf("circuit: invalid crossbar size %dx%d", c.M, c.N)
@@ -97,20 +99,34 @@ func (c *Crossbar) Validate() error {
 			return fmt.Errorf("circuit: R row %d has %d cols, want %d", i, len(row), c.N)
 		}
 		for j, r := range row {
-			if r <= 0 {
-				return fmt.Errorf("circuit: non-positive resistance %g at (%d,%d)", r, i, j)
+			if !(r > 0) || math.IsInf(r, 0) {
+				return fmt.Errorf("circuit: resistance %g at (%d,%d), want positive and finite", r, i, j)
 			}
 		}
 	}
-	if c.WireR < 0 {
-		return fmt.Errorf("circuit: negative wire resistance %g", c.WireR)
+	if !(c.WireR >= 0) || math.IsInf(c.WireR, 0) {
+		return fmt.Errorf("circuit: wire resistance %g, want non-negative and finite", c.WireR)
 	}
-	if c.RSense <= 0 {
-		return fmt.Errorf("circuit: sense resistance must be positive, got %g", c.RSense)
+	if !(c.RSense > 0) || math.IsInf(c.RSense, 0) {
+		return fmt.Errorf("circuit: sense resistance %g, want positive and finite", c.RSense)
 	}
 	if !c.Linear {
 		if err := c.Dev.Validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkInput validates a drive vector against the crossbar: one finite
+// voltage per row.
+func (c *Crossbar) checkInput(vin []float64) error {
+	if len(vin) != c.M {
+		return fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
+	}
+	for i, v := range vin {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("circuit: non-finite input %v at index %d", v, i)
 		}
 	}
 	return nil
@@ -313,15 +329,11 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 	return rhs
 }
 
-// Preconditioner kinds SolveOptions.Precond accepts.
-const (
-	// PrecondBlockJacobi factors each wire chain (row chains and column
-	// chains, tridiagonal in their local index) with a tridiagonal
-	// Cholesky — the structure-aware default.
-	PrecondBlockJacobi = "block-jacobi"
-	// PrecondJacobi is the legacy diagonal preconditioner.
-	PrecondJacobi = "jacobi"
-)
+// PrecondBlockJacobi labels the solver's one preconditioner in
+// Diagnostics.Precond and the journal: block-Jacobi over the wire chains,
+// each row chain and column chain (tridiagonal in its local index)
+// factored by a tridiagonal Cholesky.
+const PrecondBlockJacobi = "block-jacobi"
 
 // SolveOptions tunes the non-linear solve.
 type SolveOptions struct {
@@ -333,11 +345,6 @@ type SolveOptions struct {
 	// CGTol is the relative tolerance of each inner linear solve;
 	// default 1e-10.
 	CGTol float64
-	// Precond selects the inner linear preconditioner: PrecondBlockJacobi
-	// (the default, resolved in on empty) or PrecondJacobi. The resolved
-	// value is recorded in Diagnostics.Precond and in snapshots, so a
-	// replay runs the path the original solve ran.
-	Precond string `json:"precond,omitempty"`
 	// State, when non-nil, carries reusable solver structures across
 	// repeated solves of same-shaped crossbars: the stencil buffers, the
 	// block preconditioner, the previous operating point
@@ -433,8 +440,8 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(vin) != c.M {
-		return nil, fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
+	if err := c.checkInput(vin); err != nil {
+		return nil, err
 	}
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-9
@@ -444,13 +451,6 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	}
 	if opt.CGTol <= 0 {
 		opt.CGTol = 1e-10
-	}
-	switch opt.Precond {
-	case "":
-		opt.Precond = PrecondBlockJacobi
-	case PrecondBlockJacobi, PrecondJacobi:
-	default:
-		return nil, fmt.Errorf("circuit: unknown preconditioner %q", opt.Precond)
 	}
 	// Cancellation contract: ctx is checked before every linear (CG) solve
 	// and per bisection column, so an aborted sweep stops burning CPU
@@ -469,7 +469,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		telemetry.EmitEventCtx(ctx, telemetry.EvSolveStart, jid, map[string]any{
 			"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
 			"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
-			"cg_tol": opt.CGTol, "precond": opt.Precond,
+			"cg_tol": opt.CGTol, "precond": PrecondBlockJacobi,
 		})
 	}
 	if c.WireR == 0 {
@@ -515,32 +515,26 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		}
 	}
 	phaseSpan.End()
-	diag := &Diagnostics{Path: "newton-cg", Precond: opt.Precond, Cost: cost}
+	diag := &Diagnostics{Path: "newton-cg", Precond: PrecondBlockJacobi, Cost: cost}
 	if c.Linear {
 		diag.Path = "linear-cg"
 	}
-	// Structure-aware preconditioner, factored from the current calibrated
-	// matrix at every solve start (so no numeric state beyond the warm
-	// vector crosses solves), then frozen across Newton iterations
-	// (modified Newton) and refreshed only when CG effort regresses.
-	var pre linalg.Preconditioner
-	var bj *chainPrecond
-	if opt.Precond == PrecondBlockJacobi {
-		if st != nil && st.pre != nil {
-			bj = st.pre
-			if err := bj.refresh(a.op, &cost.Precond); err != nil {
-				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
-			}
-		} else {
-			bj, err = newChainPrecond(a.op, &cost.Precond)
-			if err != nil {
-				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
-			}
-			if st != nil {
-				st.pre = bj
-			}
+	// Chain preconditioner, factored from the current calibrated matrix at
+	// every solve start (so no numeric state beyond the warm vector crosses
+	// solves), then frozen across Newton iterations (modified Newton) and
+	// refreshed only when CG effort regresses.
+	var pre *chainPrecond
+	if st != nil && st.pre != nil {
+		pre = st.pre
+		err = pre.refresh(a.op, &cost.Precond)
+	} else {
+		pre, err = newChainPrecond(a.op, &cost.Precond)
+		if st != nil {
+			st.pre = pre
 		}
-		pre = bj
+	}
+	if err != nil {
+		return nil, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	res = &Result{}
 	work := st.cgWork()
@@ -585,10 +579,10 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 				return nil, fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 			}
 			rhs := c.restamp(a, v, &cost.NewtonUpdate)
-			if bj != nil && needRefresh {
+			if needRefresh {
 				// The frozen factorization fell behind the Newton stamps;
 				// refactor against the current matrix and re-baseline.
-				if err := bj.refresh(a.op, &cost.Precond); err != nil {
+				if err := pre.refresh(a.op, &cost.Precond); err != nil {
 					return nil, fmt.Errorf("circuit: preconditioner refresh: %w", err)
 				}
 				diag.PrecondRefreshes++
@@ -600,16 +594,14 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			if err != nil {
 				return nil, fmt.Errorf("circuit: Newton linear solve: %w", err)
 			}
-			if bj != nil {
-				// Deterministic modified-Newton refresh policy: refresh
-				// before the next solve when this one needed more than
-				// 2·baseline+8 iterations — regression past the slack means
-				// the frozen factorization stopped pulling its weight.
-				if baseline < 0 {
-					baseline = it
-				} else if it > 2*baseline+8 {
-					needRefresh = true
-				}
+			// Deterministic modified-Newton refresh policy: refresh before
+			// the next solve when this one needed more than 2·baseline+8
+			// iterations — regression past the slack means the frozen
+			// factorization stopped pulling its weight.
+			if baseline < 0 {
+				baseline = it
+			} else if it > 2*baseline+8 {
+				needRefresh = true
 			}
 			res.CGIters += it
 			res.NewtonIters++
@@ -633,7 +625,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			}
 			if iter == opt.MaxNewton-1 {
 				telDiverged.Inc()
-				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
+				diag.CondEstimate = jsonFinite(linalg.EstimateCond(a.op, &cost.Diagnostics))
 				diag.analyze()
 				derr := &DivergenceError{Iters: opt.MaxNewton, FinalResidual: delta, Diag: diag}
 				telemetry.Log().Warn("newton iteration diverged",
@@ -655,7 +647,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	// deferred End covers the error returns above).
 	phaseSpan.End()
 	if opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
+		diag.CondEstimate = jsonFinite(linalg.EstimateCond(a.op, &cost.Diagnostics))
 	}
 	diag.analyze()
 	res.Diag = diag
@@ -758,8 +750,8 @@ func (c *Crossbar) DissipatedPower(res *Result, vin []float64) float64 {
 // (Section VI), V_n = Σ_m g_mn·v_m / (g_s + Σ_m g_mn), the column form of
 // Eq. 2.
 func (c *Crossbar) IdealOut(vin []float64) ([]float64, error) {
-	if len(vin) != c.M {
-		return nil, fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
+	if err := c.checkInput(vin); err != nil {
+		return nil, err
 	}
 	gs := 1 / c.RSense
 	out := make([]float64, c.N)

@@ -58,8 +58,9 @@ type Diagnostics struct {
 	// at calibrated resistances (zero on the bisection path and on
 	// warm-started non-linear solves, which skip the setup solve).
 	SetupCGIters int `json:"setup_cg_iters,omitempty"`
-	// Precond names the inner linear preconditioner ("block-jacobi",
-	// "jacobi"); empty on the bisection path, which has no linear core.
+	// Precond labels the inner linear preconditioner: PrecondBlockJacobi
+	// on the CG paths, empty on the bisection path, which has no linear
+	// core. Older journals may also carry "jacobi".
 	Precond string `json:"precond,omitempty"`
 	// PrecondRefreshes counts mid-Newton preconditioner refactorizations:
 	// the factorization is frozen across Newton iterations

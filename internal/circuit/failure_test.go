@@ -2,10 +2,13 @@ package circuit
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"mnsim/internal/device"
 	"mnsim/internal/linalg"
+	"mnsim/internal/linalg/linalgtest"
 )
 
 // Failure injection: a pathologically non-linear device must trip the
@@ -55,7 +58,7 @@ func TestNewtonDivergenceDetected(t *testing.T) {
 // An exhausted linear-solver budget surfaces as linalg.ErrNoConvergence.
 func TestCGBudgetExhaustion(t *testing.T) {
 	// Larger grids cannot hit machine-precision tolerance in one iteration.
-	m, err := linalg.NewCSR(3, []linalg.Coord{
+	m, err := linalgtest.NewCSR(3, []linalgtest.Coord{
 		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 1, Val: -1},
 		{Row: 1, Col: 0, Val: -1}, {Row: 1, Col: 1, Val: 4}, {Row: 1, Col: 2, Val: -1},
 		{Row: 2, Col: 1, Val: -1}, {Row: 2, Col: 2, Val: 4},
@@ -111,6 +114,68 @@ func TestSolveReentrant(t *testing.T) {
 	for n := range a.VOut {
 		if a.VOut[n] != b.VOut[n] {
 			t.Fatalf("column %d differs between runs", n)
+		}
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN or infinite drive, cell resistance,
+// wire resistance or sense resistance is an error naming the bad value on
+// both solver paths (zero-wire bisection and Newton–CG) and in SettleTime,
+// and a non-finite drive is one in IdealOut — never a nil error with a NaN
+// or infinite result, and never a misleading CG-breakdown or
+// preconditioner-pivot failure.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		edit      func(c *Crossbar, vin []float64)
+		wantInErr string
+	}{
+		{"NaN drive", func(c *Crossbar, vin []float64) { vin[1] = nan }, "non-finite input NaN at index 1"},
+		{"+Inf drive", func(c *Crossbar, vin []float64) { vin[0] = inf }, "non-finite input +Inf at index 0"},
+		{"-Inf drive", func(c *Crossbar, vin []float64) { vin[2] = -inf }, "non-finite input -Inf at index 2"},
+		{"NaN cell", func(c *Crossbar, vin []float64) { c.R[1][2] = nan }, "resistance NaN at (1,2)"},
+		{"+Inf cell", func(c *Crossbar, vin []float64) { c.R[0][0] = inf }, "resistance +Inf at (0,0)"},
+		{"NaN sense", func(c *Crossbar, vin []float64) { c.RSense = nan }, "sense resistance NaN"},
+		{"+Inf sense", func(c *Crossbar, vin []float64) { c.RSense = inf }, "sense resistance +Inf"},
+	}
+	for _, wireR := range []float64{0, 2.5} {
+		for _, linear := range []bool{true, false} {
+			for _, tc := range cases {
+				c := &Crossbar{M: 3, N: 3, R: uniformR(3, 3, 100e3), WireR: wireR, RSense: 1500, Dev: device.RRAM(), Linear: linear}
+				vin := []float64{0.3, -0.2, 0.1}
+				tc.edit(c, vin)
+				res, err := c.Solve(vin, SolveOptions{})
+				if err == nil {
+					t.Errorf("wire %g linear %v %s: nil error (result %+v)", wireR, linear, tc.name, res)
+					continue
+				}
+				if !strings.Contains(err.Error(), tc.wantInErr) {
+					t.Errorf("wire %g linear %v %s: err %q, want it to contain %q", wireR, linear, tc.name, err, tc.wantInErr)
+				}
+			}
+		}
+	}
+	for _, tc := range cases {
+		c := &Crossbar{M: 3, N: 3, R: uniformR(3, 3, 100e3), WireR: 2.5, RSense: 1500, Dev: device.RRAM()}
+		vin := []float64{0.3, -0.2, 0.1}
+		tc.edit(c, vin)
+		if _, err := c.SettleTime(vin, TransientOptions{NodeCap: 1e-15}); err == nil || !strings.Contains(err.Error(), tc.wantInErr) {
+			t.Errorf("SettleTime %s: err %v, want it to contain %q", tc.name, err, tc.wantInErr)
+		}
+	}
+	for _, tc := range cases[:3] { // the drive cases
+		c := &Crossbar{M: 3, N: 3, R: uniformR(3, 3, 100e3), WireR: 2.5, RSense: 1500, Linear: true}
+		vin := []float64{0.3, -0.2, 0.1}
+		tc.edit(c, vin)
+		if _, err := c.IdealOut(vin); err == nil || !strings.Contains(err.Error(), tc.wantInErr) {
+			t.Errorf("IdealOut %s: err %v, want it to contain %q", tc.name, err, tc.wantInErr)
+		}
+	}
+	for _, wireR := range []float64{nan, inf, -inf} {
+		c := &Crossbar{M: 3, N: 3, R: uniformR(3, 3, 100e3), WireR: wireR, RSense: 1500, Dev: device.RRAM()}
+		if _, err := c.Solve([]float64{0.3, -0.2, 0.1}, SolveOptions{}); err == nil || !strings.Contains(err.Error(), "wire resistance") {
+			t.Errorf("wire resistance %v: err %v, want a wire-resistance error", wireR, err)
 		}
 	}
 }

@@ -149,8 +149,8 @@ func TestSolverStateShapeChange(t *testing.T) {
 	}
 }
 
-// TestPrecondSelection: both preconditioners agree on the answer, the
-// resolved kind is recorded, and an unknown kind is rejected.
+// TestPrecondSelection: a solve runs the chain preconditioner, records its
+// label, and books its factorizations and applies.
 func TestPrecondSelection(t *testing.T) {
 	c, vin := costCrossbar(10, 10)
 	blk, err := c.Solve(vin, SolveOptions{})
@@ -158,32 +158,13 @@ func TestPrecondSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if blk.Diag.Precond != PrecondBlockJacobi {
-		t.Errorf("default precond = %q, want %q", blk.Diag.Precond, PrecondBlockJacobi)
-	}
-	jac, err := c.Solve(vin, SolveOptions{Precond: PrecondJacobi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jac.Diag.Precond != PrecondJacobi {
-		t.Errorf("precond = %q, want %q", jac.Diag.Precond, PrecondJacobi)
-	}
-	for n := range blk.VOut {
-		if math.Abs(blk.VOut[n]-jac.VOut[n]) > 1e-7*(1+math.Abs(jac.VOut[n])) {
-			t.Fatalf("col %d: block-jacobi %v vs jacobi %v", n, blk.VOut[n], jac.VOut[n])
-		}
-	}
-	if blk.CGIters >= jac.CGIters {
-		t.Errorf("block-jacobi spent %d CG iters, jacobi %d — expected a reduction",
-			blk.CGIters, jac.CGIters)
+		t.Errorf("precond = %q, want %q", blk.Diag.Precond, PrecondBlockJacobi)
 	}
 	if blk.Diag.Cost.Precond.BandFactorizations == 0 {
 		t.Error("block-jacobi solve booked no band factorizations")
 	}
 	if blk.Diag.Cost.CGLoop.PrecondApplies == 0 {
 		t.Error("block-jacobi solve booked no preconditioner applies in the CG loop")
-	}
-	if _, err := c.Solve(vin, SolveOptions{Precond: "cholesky"}); err == nil {
-		t.Error("unknown preconditioner accepted")
 	}
 }
 

@@ -261,6 +261,3 @@ func (p *chainPrecond) Apply(r, z []float64, ops *linalg.OpCount) {
 	}
 	ops.CountPrecondApply()
 }
-
-// Kind names the preconditioner: the block-Jacobi over the wire chains.
-func (p *chainPrecond) Kind() string { return PrecondBlockJacobi }

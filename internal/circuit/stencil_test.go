@@ -8,28 +8,29 @@ import (
 
 	"mnsim/internal/device"
 	"mnsim/internal/linalg"
+	"mnsim/internal/linalg/linalgtest"
 )
 
 // stencilTrips is the MNA triplet stream of the stencil's matrix in the
 // classic stamping order — row wires (source first), column wires (sense
 // last), then the four entries of every cell — followed, when shifted, by
-// one diagonal triplet per node. linalg.NewCSR sums duplicates in input
+// one diagonal triplet per node. linalgtest.NewCSR sums duplicates in input
 // order, so the resulting CSR is the reference the stencil must match
 // bit-for-bit.
-func stencilTrips(s *stencil, shifted bool, rowShift, colShift float64) []linalg.Coord {
+func stencilTrips(s *stencil, shifted bool, rowShift, colShift float64) []linalgtest.Coord {
 	M, N, gw := s.m, s.n, s.gw
 	row := func(m, n int) int { return m*N + n }
 	col := func(m, n int) int { return M*N + m*N + n }
-	var trips []linalg.Coord
+	var trips []linalgtest.Coord
 	stamp := func(i, j int, g float64) {
 		trips = append(trips,
-			linalg.Coord{Row: i, Col: i, Val: g},
-			linalg.Coord{Row: j, Col: j, Val: g},
-			linalg.Coord{Row: i, Col: j, Val: -g},
-			linalg.Coord{Row: j, Col: i, Val: -g})
+			linalgtest.Coord{Row: i, Col: i, Val: g},
+			linalgtest.Coord{Row: j, Col: j, Val: g},
+			linalgtest.Coord{Row: i, Col: j, Val: -g},
+			linalgtest.Coord{Row: j, Col: i, Val: -g})
 	}
 	for m := 0; m < M; m++ {
-		trips = append(trips, linalg.Coord{Row: row(m, 0), Col: row(m, 0), Val: gw})
+		trips = append(trips, linalgtest.Coord{Row: row(m, 0), Col: row(m, 0), Val: gw})
 		for n := 0; n+1 < N; n++ {
 			stamp(row(m, n), row(m, n+1), gw)
 		}
@@ -38,7 +39,7 @@ func stencilTrips(s *stencil, shifted bool, rowShift, colShift float64) []linalg
 		for m := 0; m+1 < M; m++ {
 			stamp(col(m, n), col(m+1, n), gw)
 		}
-		trips = append(trips, linalg.Coord{Row: col(M-1, n), Col: col(M-1, n), Val: s.gs})
+		trips = append(trips, linalgtest.Coord{Row: col(M-1, n), Col: col(M-1, n), Val: s.gs})
 	}
 	for m := 0; m < M; m++ {
 		for n := 0; n < N; n++ {
@@ -51,7 +52,7 @@ func stencilTrips(s *stencil, shifted bool, rowShift, colShift float64) []linalg
 			if i >= M*N {
 				sh = colShift
 			}
-			trips = append(trips, linalg.Coord{Row: i, Col: i, Val: sh})
+			trips = append(trips, linalgtest.Coord{Row: i, Col: i, Val: sh})
 		}
 	}
 	return trips
@@ -93,7 +94,7 @@ func checkStencilMatchesCSR(t *testing.T, s *stencil, shifted bool, rowShift, co
 	} else {
 		s.setDiag(0, 0)
 	}
-	ref, err := linalg.NewCSR(s.Dim(), stencilTrips(s, shifted, rowShift, colShift))
+	ref, err := linalgtest.NewCSR(s.Dim(), stencilTrips(s, shifted, rowShift, colShift))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,30 +184,20 @@ func chains(m, n int) [][]int {
 	return out
 }
 
-// csrAt reads element (i, j) of a CSR matrix (0 where absent).
-func csrAt(a *linalg.CSR, i, j int) float64 {
-	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-		if a.ColIdx[k] == j {
-			return a.Vals[k]
-		}
-	}
-	return 0
-}
-
 // refChainApply is the reference block-Jacobi apply: each chain's
 // tridiagonal block is gathered from the CSR matrix, factored by Cholesky
 // (pivot d = √(a − l²), l = sub/d_prev, reciprocal pivots), and solved by
 // forward and back substitution, one chain at a time.
-func refChainApply(a *linalg.CSR, m, n int, r []float64) []float64 {
+func refChainApply(a *linalgtest.CSR, m, n int, r []float64) []float64 {
 	z := make([]float64, len(r))
 	for _, c := range chains(m, n) {
 		k := len(c)
 		l, rd := make([]float64, k), make([]float64, k)
 		prev := 0.0
 		for q, i := range c {
-			s := csrAt(a, i, i)
+			s := a.At(i, i)
 			if q > 0 {
-				l[q] = csrAt(a, i, c[q-1]) / prev
+				l[q] = a.At(i, c[q-1]) / prev
 				s -= l[q] * l[q]
 			}
 			prev = math.Sqrt(s)
@@ -245,7 +236,7 @@ func TestChainPrecondMatchesReference(t *testing.T) {
 				rowShift, colShift = 3.7e-2, 4.1e-2
 			}
 			s.setDiag(rowShift, colShift)
-			ref, err := linalg.NewCSR(s.Dim(), stencilTrips(s, shifted, rowShift, colShift))
+			ref, err := linalgtest.NewCSR(s.Dim(), stencilTrips(s, shifted, rowShift, colShift))
 			if err != nil {
 				t.Fatal(err)
 			}

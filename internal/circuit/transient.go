@@ -44,8 +44,8 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	if len(vin) != c.M {
-		return 0, fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
+	if err := c.checkInput(vin); err != nil {
+		return 0, err
 	}
 	if c.WireR == 0 {
 		return 0, fmt.Errorf("circuit: transient needs a resistive wire model")

@@ -12,27 +12,19 @@ import (
 // the caller, so the iteration totals behind a sweep are recoverable from
 // one export.
 var (
-	telCGSolves       = telemetry.GetCounter("mnsim_linalg_cg_solves_total")
-	telCGItersTotal   = telemetry.GetCounter("mnsim_linalg_cg_iterations_total")
-	telCGIterHist     = telemetry.GetHistogram("mnsim_linalg_cg_iterations", telemetry.ExponentialBuckets(1, 2, 14))
-	telCGNoConverge   = telemetry.GetCounter("mnsim_linalg_cg_no_convergence_total")
-	telCGBreakdowns   = telemetry.GetCounter("mnsim_linalg_cg_breakdowns_total")
-	telLUFactorsTotal = telemetry.GetCounter("mnsim_linalg_lu_factorizations_total")
+	telCGSolves     = telemetry.GetCounter("mnsim_linalg_cg_solves_total")
+	telCGItersTotal = telemetry.GetCounter("mnsim_linalg_cg_iterations_total")
+	telCGIterHist   = telemetry.GetHistogram("mnsim_linalg_cg_iterations", telemetry.ExponentialBuckets(1, 2, 14))
+	telCGNoConverge = telemetry.GetCounter("mnsim_linalg_cg_no_convergence_total")
+	telCGBreakdowns = telemetry.GetCounter("mnsim_linalg_cg_breakdowns_total")
 )
-
-// Coord is one (row, col, value) triplet used while assembling a sparse
-// matrix; duplicate coordinates are summed, matching MNA stamping semantics.
-type Coord struct {
-	Row, Col int
-	Val      float64
-}
 
 // Operator is the square linear operator SolveCG, the condition
 // estimators, and the Jacobi fallback work against: a dimension, a
 // matrix-vector product, the stored-element count the cost model charges
-// per product, and the diagonal. *CSR implements it for generic matrices;
-// structured callers (the crossbar stencil) implement it without index
-// arrays.
+// per product, and the diagonal. The crossbar stencil implements it
+// without index arrays; the tests' CSR oracle (linalgtest) implements it
+// for generic matrices.
 type Operator interface {
 	// Dim returns the square dimension.
 	Dim() int
@@ -43,117 +35,6 @@ type Operator interface {
 	// Diagonal returns the matrix diagonal (zero where absent). Callers
 	// must treat the slice as read-only.
 	Diagonal() []float64
-}
-
-var _ Operator = (*CSR)(nil)
-
-// CSR is a compressed-sparse-row matrix, built from triplets with NewCSR.
-type CSR struct {
-	N      int // square dimension
-	RowPtr []int
-	ColIdx []int
-	Vals   []float64
-}
-
-// NewCSR assembles an n×n CSR matrix from triplets, summing duplicates in
-// input order.
-func NewCSR(n int, trips []Coord) (*CSR, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("linalg: invalid CSR dimension %d", n)
-	}
-	for _, t := range trips {
-		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
-			return nil, fmt.Errorf("linalg: triplet (%d,%d) outside %d×%d", t.Row, t.Col, n, n)
-		}
-	}
-	// Order triplet indices by (row, col) to find unique slots: an O(nnz)
-	// counting pass buckets by row, then each row's handful of entries is
-	// insertion-sorted by column (stable, so duplicate summation order is
-	// the deterministic input order). MNA rows hold ~4–8 entries, so this
-	// stays linear where a global comparison sort would dominate the
-	// assembly of large crossbars.
-	rowStart := make([]int, n+1)
-	for _, t := range trips {
-		rowStart[t.Row+1]++
-	}
-	for r := 0; r < n; r++ {
-		rowStart[r+1] += rowStart[r]
-	}
-	order := make([]int, len(trips))
-	next := make([]int, n)
-	copy(next, rowStart[:n])
-	for i, t := range trips {
-		order[next[t.Row]] = i
-		next[t.Row]++
-	}
-	for r := 0; r < n; r++ {
-		seg := order[rowStart[r]:rowStart[r+1]]
-		for i := 1; i < len(seg); i++ {
-			for j := i; j > 0 && trips[seg[j]].Col < trips[seg[j-1]].Col; j-- {
-				seg[j], seg[j-1] = seg[j-1], seg[j]
-			}
-		}
-	}
-	m := &CSR{N: n, RowPtr: make([]int, n+1)}
-	// len(trips) bounds the merged slot count, so the append streams below
-	// never reallocate.
-	m.ColIdx = make([]int, 0, len(trips))
-	m.Vals = make([]float64, 0, len(trips))
-	prevRow, prevCol := -1, -1
-	for _, idx := range order {
-		t := trips[idx]
-		if t.Row != prevRow || t.Col != prevCol {
-			m.ColIdx = append(m.ColIdx, t.Col)
-			m.Vals = append(m.Vals, 0)
-			for r := prevRow + 1; r <= t.Row; r++ {
-				m.RowPtr[r] = len(m.Vals) - 1
-			}
-			prevRow, prevCol = t.Row, t.Col
-		}
-		m.Vals[len(m.Vals)-1] += t.Val
-	}
-	for r := prevRow + 1; r <= n; r++ {
-		m.RowPtr[r] = len(m.Vals)
-	}
-	return m, nil
-}
-
-// Dim returns the square dimension.
-func (m *CSR) Dim() int { return m.N }
-
-// NNZ returns the number of stored elements.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// MulVec computes y = M·x, reusing y if it has the right length.
-func (m *CSR) MulVec(x, y []float64) []float64 {
-	if len(x) != m.N {
-		panic(fmt.Sprintf("linalg: CSR MulVec got %d, want %d", len(x), m.N))
-	}
-	if len(y) != m.N {
-		y = make([]float64, m.N)
-	}
-	for i := 0; i < m.N; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// Diagonal extracts the matrix diagonal (zero where absent).
-func (m *CSR) Diagonal() []float64 {
-	d := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if m.ColIdx[k] == i {
-				d[i] = m.Vals[k]
-				break
-			}
-		}
-	}
-	return d
 }
 
 // ErrNoConvergence is returned when an iterative solve exhausts its
@@ -410,30 +291,4 @@ func observeCG(iters int) {
 	telCGSolves.Inc()
 	telCGItersTotal.Add(int64(iters))
 	telCGIterHist.Observe(float64(iters))
-}
-
-// IsSymmetric reports whether the matrix is numerically symmetric within
-// tolerance tol; used by tests and solver self-checks.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			if j < i {
-				continue
-			}
-			if math.Abs(m.Vals[k]-m.at(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (m *CSR) at(i, j int) float64 {
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		if m.ColIdx[k] == j {
-			return m.Vals[k]
-		}
-	}
-	return 0
 }

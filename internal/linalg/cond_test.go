@@ -3,15 +3,17 @@ package linalg
 import (
 	"math"
 	"testing"
+
+	"mnsim/internal/linalg/linalgtest"
 )
 
-func diagCSR(t *testing.T, d []float64) *CSR {
+func diagCSR(t *testing.T, d []float64) *linalgtest.CSR {
 	t.Helper()
-	trips := make([]Coord, len(d))
+	trips := make([]linalgtest.Coord, len(d))
 	for i, v := range d {
-		trips[i] = Coord{Row: i, Col: i, Val: v}
+		trips[i] = linalgtest.Coord{Row: i, Col: i, Val: v}
 	}
-	m, err := NewCSR(len(d), trips)
+	m, err := linalgtest.NewCSR(len(d), trips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestEstimateCondDiagonal(t *testing.T) {
 	for i := range d {
 		d[i] = float64(i + 1) // spectrum 1..10, κ = 10
 	}
-	cond := EstimateCond(diagCSR(t, d))
+	cond := EstimateCond(diagCSR(t, d), nil)
 	if cond < 7 || cond > 13 {
 		t.Fatalf("diagonal κ estimate %.3g, want ~10", cond)
 	}
@@ -34,20 +36,20 @@ func TestEstimateCondDiagonal(t *testing.T) {
 // λ_k = 2 − 2·cos(kπ/9): λmin ≈ 0.1206, λmax ≈ 3.879, κ ≈ 32.2.
 func TestEstimateCondTridiagonal(t *testing.T) {
 	const n = 8
-	var trips []Coord
+	var trips []linalgtest.Coord
 	for i := 0; i < n; i++ {
-		trips = append(trips, Coord{Row: i, Col: i, Val: 2})
+		trips = append(trips, linalgtest.Coord{Row: i, Col: i, Val: 2})
 		if i+1 < n {
 			trips = append(trips,
-				Coord{Row: i, Col: i + 1, Val: -1},
-				Coord{Row: i + 1, Col: i, Val: -1})
+				linalgtest.Coord{Row: i, Col: i + 1, Val: -1},
+				linalgtest.Coord{Row: i + 1, Col: i, Val: -1})
 		}
 	}
-	m, err := NewCSR(n, trips)
+	m, err := linalgtest.NewCSR(n, trips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmin, lmax := ExtremeEigenEstimates(m)
+	lmin, lmax := ExtremeEigenEstimates(m, nil)
 	wantMin := 2 - 2*math.Cos(math.Pi/9)
 	wantMax := 2 - 2*math.Cos(8*math.Pi/9)
 	if lmax < 0.9*wantMax || lmax > 1.1*wantMax {
@@ -56,7 +58,7 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 	if lmin < 0.7*wantMin || lmin > 1.3*wantMin {
 		t.Fatalf("λmin estimate %.4g, want ~%.4g", lmin, wantMin)
 	}
-	cond := EstimateCond(m)
+	cond := EstimateCond(m, nil)
 	want := wantMax / wantMin
 	if cond < 0.6*want || cond > 1.6*want {
 		t.Fatalf("κ estimate %.4g, want ~%.4g", cond, want)
@@ -67,8 +69,8 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 // the replay contract extends to diagnostics.
 func TestEstimateCondDeterministic(t *testing.T) {
 	d := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := EstimateCond(diagCSR(t, d))
-	b := EstimateCond(diagCSR(t, d))
+	a := EstimateCond(diagCSR(t, d), nil)
+	b := EstimateCond(diagCSR(t, d), nil)
 	if a != b {
 		t.Fatalf("estimate not deterministic: %v vs %v", a, b)
 	}

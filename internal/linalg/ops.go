@@ -3,7 +3,7 @@ package linalg
 // Operation-cost accounting for the numerical kernels. An OpCount is an
 // allocation-free accumulator of what a solve actually did — floating-point
 // operations, kernel invocations, bytes streamed through memory,
-// factorizations — so callers can attribute solve cost to phases without
+// preconditioner factorizations — so callers can attribute solve cost to phases without
 // timers (the clock-free invariant of this package) and bit-identically
 // across runs (the replay contract: counting only observes, it never
 // touches a float in the computation).
@@ -26,10 +26,6 @@ package linalg
 //   - CountVecOp(n, flopsPer): one streaming elementwise pass over
 //     length-n vectors at flopsPer flops per element, 24·n bytes (two
 //     reads, one write) — the preconditioner apply and direction update.
-//   - CountFactorLU(n): one dense LU factorization with partial pivoting,
-//     its exact inner-loop flop count Σ_{j=1}^{n-1} (j + 2·j²), 16·n² bytes.
-//   - CountLUSolve(n): one forward+back substitution pair, 2·n²−n flops,
-//     16·n² bytes.
 //   - CountBandFactor(n, bw): one banded Cholesky factorization, its exact
 //     inner-loop flop count Σ_{i=0}^{n-1} (min(i,bw)+1)² (each row i does
 //     (w+1)² multiply-subtract/divide/sqrt ops at effective bandwidth
@@ -53,8 +49,6 @@ type OpCount struct {
 	Axpys int64 `json:"axpys,omitempty"`
 	// Bytes is the modeled memory traffic of the counted kernels.
 	Bytes int64 `json:"bytes,omitempty"`
-	// Factorizations counts dense LU factorizations.
-	Factorizations int64 `json:"factorizations,omitempty"`
 	// BandFactorizations counts banded Cholesky factorizations (one per
 	// preconditioner block per refresh).
 	BandFactorizations int64 `json:"band_factorizations,omitempty"`
@@ -73,7 +67,6 @@ func (o *OpCount) Add(other *OpCount) {
 	o.Dots += other.Dots
 	o.Axpys += other.Axpys
 	o.Bytes += other.Bytes
-	o.Factorizations += other.Factorizations
 	o.BandFactorizations += other.BandFactorizations
 	o.PrecondApplies += other.PrecondApplies
 }
@@ -146,30 +139,6 @@ func (o *OpCount) CountBytes(n int64) {
 		return
 	}
 	o.Bytes += n
-}
-
-// CountFactorLU records one n×n dense LU factorization with partial
-// pivoting: the exact elimination flop count Σ_{j=1}^{n-1} (j + 2·j²)
-// (one division plus one multiply-subtract pair per eliminated element).
-func (o *OpCount) CountFactorLU(n int) {
-	if o == nil {
-		return
-	}
-	j := int64(n) - 1
-	o.Factorizations++
-	o.Flops += j*(j+1)/2 + j*(j+1)*(2*j+1)/3
-	o.Bytes += 16 * int64(n) * int64(n)
-}
-
-// CountLUSolve records one forward+back substitution pair against an n×n
-// factorization: 2·n²−n flops.
-func (o *OpCount) CountLUSolve(n int) {
-	if o == nil {
-		return
-	}
-	nn := int64(n)
-	o.Flops += 2*nn*nn - nn
-	o.Bytes += 16 * nn * nn
 }
 
 // bandSumW is Σ_{i=0}^{n-1} min(i, bw) — the total off-diagonal count of a

@@ -1,20 +1,24 @@
 package linalg
 
-import "testing"
+import (
+	"testing"
+
+	"mnsim/internal/linalg/linalgtest"
+)
 
 // testTridiag builds the SPD tridiagonal test matrix (4 on the diagonal,
 // −1 off) used by the analytic op-count assertions.
-func testTridiag(t *testing.T, n int) *CSR {
+func testTridiag(t *testing.T, n int) *linalgtest.CSR {
 	t.Helper()
-	var trips []Coord
+	var trips []linalgtest.Coord
 	for i := 0; i < n; i++ {
-		trips = append(trips, Coord{Row: i, Col: i, Val: 4})
+		trips = append(trips, linalgtest.Coord{Row: i, Col: i, Val: 4})
 		if i+1 < n {
-			trips = append(trips, Coord{Row: i, Col: i + 1, Val: -1})
-			trips = append(trips, Coord{Row: i + 1, Col: i, Val: -1})
+			trips = append(trips, linalgtest.Coord{Row: i, Col: i + 1, Val: -1})
+			trips = append(trips, linalgtest.Coord{Row: i + 1, Col: i, Val: -1})
 		}
 	}
-	m, err := NewCSR(n, trips)
+	m, err := linalgtest.NewCSR(n, trips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +62,6 @@ func TestSolveCGOpCountAnalytic(t *testing.T) {
 	wantBytes := (40*zz + 128*nn) + kk*(24*zz+88*nn) + (kk-1)*64*nn
 	if ops.Bytes != wantBytes {
 		t.Errorf("Bytes = %d, want %d (n %d nnz %d k %d)", ops.Bytes, wantBytes, n, nnz, k)
-	}
-	if ops.Factorizations != 0 {
-		t.Errorf("Factorizations = %d, want 0", ops.Factorizations)
 	}
 }
 
@@ -108,8 +109,9 @@ func TestOpCountNilSafe(t *testing.T) {
 	o.CountVecOp(5, 2)
 	o.CountFlops(7)
 	o.CountBytes(7)
-	o.CountFactorLU(4)
-	o.CountLUSolve(4)
+	o.CountBandFactor(4, 1)
+	o.CountBandSolve(4, 1)
+	o.CountPrecondApply()
 	o.Add(&OpCount{Flops: 1})
 	var dst OpCount
 	dst.Add(nil)
@@ -118,42 +120,13 @@ func TestOpCountNilSafe(t *testing.T) {
 	}
 }
 
-// TestDenseOpCount pins the dense accounting: FactorLU's exact elimination
-// flop count and the substitution pair.
-func TestDenseOpCount(t *testing.T) {
-	const n = 5
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := 1.0 / float64(1+i+j)
-			if i == j {
-				v += float64(n)
-			}
-			a.Set(i, j, v)
-		}
-	}
-	b := []float64{1, 2, 3, 4, 5}
-	var ops OpCount
-	if _, err := SolveDenseOps(a, b, &ops); err != nil {
-		t.Fatal(err)
-	}
-	if ops.Factorizations != 1 {
-		t.Errorf("Factorizations = %d, want 1", ops.Factorizations)
-	}
-	// Σ_{j=1}^{n-1} (j + 2j²) for n=5: (1+2)+(2+8)+(3+18)+(4+32) = 70,
-	// plus the substitution pair 2n²−n = 45.
-	if want := int64(70 + 45); ops.Flops != want {
-		t.Errorf("Flops = %d, want %d", ops.Flops, want)
-	}
-}
-
 // TestEstimateCondOpsAccumulates: the condition estimator's power and
 // inverse iterations must land in the accumulator.
 func TestEstimateCondOpsAccumulates(t *testing.T) {
 	a := testTridiag(t, 16)
 	var ops OpCount
-	plain := EstimateCond(a)
-	counted := EstimateCondOps(a, &ops)
+	plain := EstimateCond(a, nil)
+	counted := EstimateCond(a, &ops)
 	//lint:ignore nofloateq accounting neutrality is an exact-equality contract by design
 	if plain != counted {
 		t.Errorf("estimate changed with accounting: %v vs %v", plain, counted)

@@ -15,9 +15,6 @@ type Preconditioner interface {
 	// Apply computes z = M⁻¹·r. A non-nil ops accumulates the apply's
 	// operation counts; accounting is observational only.
 	Apply(r, z []float64, ops *OpCount)
-	// Kind names the preconditioner for diagnostics ("jacobi",
-	// "block-jacobi", ...).
-	Kind() string
 }
 
 // jacobiPrecond is the classic diagonal preconditioner — the SolveCG
@@ -50,5 +47,3 @@ func (p *jacobiPrecond) Apply(r, z []float64, ops *OpCount) {
 	ops.CountVecOp(len(z), 1)
 	ops.CountPrecondApply()
 }
-
-func (p *jacobiPrecond) Kind() string { return "jacobi" }

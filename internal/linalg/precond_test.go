@@ -4,15 +4,17 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"mnsim/internal/linalg/linalgtest"
 )
 
 // chainTrips stamps the tridiagonal chain tridiag(−1, 4, −1) of length n.
-func chainTrips(n int) []Coord {
-	var trips []Coord
+func chainTrips(n int) []linalgtest.Coord {
+	var trips []linalgtest.Coord
 	for i := 0; i < n; i++ {
-		trips = append(trips, Coord{i, i, 4})
+		trips = append(trips, linalgtest.Coord{Row: i, Col: i, Val: 4})
 		if i > 0 {
-			trips = append(trips, Coord{i, i - 1, -1}, Coord{i - 1, i, -1})
+			trips = append(trips, linalgtest.Coord{Row: i, Col: i - 1, Val: -1}, linalgtest.Coord{Row: i - 1, Col: i, Val: -1})
 		}
 	}
 	return trips
@@ -24,15 +26,15 @@ type triChol struct {
 	sub, rd []float64 // L sub-diagonal and reciprocal pivots
 }
 
-func newTriChol(a *CSR, ops *OpCount) (*triChol, error) {
+func newTriChol(a *linalgtest.CSR, ops *OpCount) (*triChol, error) {
 	n := a.N
 	p := &triChol{sub: make([]float64, n), rd: make([]float64, n)}
 	ops.CountBandFactor(n, 1)
 	prev := 0.0
 	for i := 0; i < n; i++ {
-		s := a.at(i, i)
+		s := a.At(i, i)
 		if i > 0 {
-			p.sub[i] = a.at(i, i-1) / prev
+			p.sub[i] = a.At(i, i-1) / prev
 			s -= p.sub[i] * p.sub[i]
 		}
 		if !(s > 0) {
@@ -58,12 +60,10 @@ func (p *triChol) Apply(r, z []float64, ops *OpCount) {
 	ops.CountPrecondApply()
 }
 
-func (p *triChol) Kind() string { return "tridiag" }
-
 // TestSolveCGPrecondAccounting: a custom preconditioner must land its
 // factorizations and applies in the op counters.
 func TestSolveCGPrecondAccounting(t *testing.T) {
-	a, err := NewCSR(6, chainTrips(6))
+	a, err := linalgtest.NewCSR(6, chainTrips(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSolveCGPrecondAccounting(t *testing.T) {
 // TestSolveCGZeroRHSWithWarmStart: b = 0 has the unique solution x = 0; a
 // non-nil x0 must not be echoed back (the pre-fix behaviour).
 func TestSolveCGZeroRHSWithWarmStart(t *testing.T) {
-	a, err := NewCSR(3, chainTrips(3))
+	a, err := linalgtest.NewCSR(3, chainTrips(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSolveCGZeroRHSWithWarmStart(t *testing.T) {
 // p·Ap ≤ 0; the solver must return a typed breakdown error rather than
 // silently producing NaNs or spinning to MaxIter.
 func TestSolveCGBreakdownOnIndefinite(t *testing.T) {
-	a, err := NewCSR(2, []Coord{{0, 0, 1}, {1, 1, -1}})
+	a, err := linalgtest.NewCSR(2, []linalgtest.Coord{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSolveCGBreakdownOnIndefinite(t *testing.T) {
 // already-converged x0 must be returned bit-unchanged in zero iterations.
 func TestSolveCGWarmStartPerturbed(t *testing.T) {
 	trips := chainTrips(32)
-	a, err := NewCSR(32, trips)
+	a, err := linalgtest.NewCSR(32, trips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 			trips[i].Val = 4.01
 		}
 	}
-	if a, err = NewCSR(32, trips); err != nil {
+	if a, err = linalgtest.NewCSR(32, trips); err != nil {
 		t.Fatal(err)
 	}
 	xCold2, itCold2, err := SolveCG(a, b, nil, opt)
